@@ -3,7 +3,7 @@
 //!
 //! The workspace's load-bearing invariant since the parallel-build PRs is
 //! that serialized `ShortcutStore`s are **byte-identical** across thread
-//! counts, contraction orders and witness budgets. One unordered
+//! counts and runs. One unordered
 //! `FastMap::iter()` feeding a serializer would break that silently; this
 //! pass proves statically that it cannot happen. Three rules:
 //!

@@ -1,20 +1,14 @@
-//! Shortcut-construction ablation: the contraction-based builder
-//! (`ShortcutStore::build`) against the legacy per-Rnet all-pairs sweep
-//! (`ShortcutStore::build_with_oracle`, kept compiled via the
-//! `oracle-build` feature), and the sequential contraction build against
-//! the parallel one (`ShortcutOptions::threads`).  All variants produce
-//! byte-identical stores — the differential and parallel-determinism
-//! suites in road-core pin that — so the only thing this table can show
-//! is time.  At small (CI) scale the contraction speedup column is
-//! asserted `>= 1`: contraction must never regress construction.  At
-//! medium scale and above, on hosts with at least 4 hardware threads,
+//! Shortcut construction: the sequential build (`ShortcutStore::build`
+//! with one thread) against the parallel one (`ShortcutOptions::threads`).
+//! Both produce byte-identical stores — the parallel-determinism suite in
+//! road-core pins that — so the only thing this table can show is time.
+//! At medium scale and above, on hosts with at least 4 hardware threads,
 //! the parallel speedup is asserted `>= 1.5` on the aggregate.
 
 use super::Ctx;
 use crate::config;
 use crate::table::{fmt_f, fmt_secs, print_table};
 use road_core::{HierarchyConfig, RnetHierarchy, ShortcutOptions, ShortcutStore};
-use road_network::generator::Dataset;
 use road_network::graph::RoadNetwork;
 use std::time::Instant;
 
@@ -40,69 +34,35 @@ pub fn run(ctx: &Ctx) {
     let reps = if ctx.scale.name == "small" { 5 } else { 2 };
     let threads = std::thread::available_parallelism().map_or(1, usize::from);
     let mut rows = Vec::new();
-    let (mut legacy_total, mut seq_total, mut par_total) = (0.0f64, 0.0f64, 0.0f64);
-    let mut legacy_seq_total = 0.0f64; // sequential time on legacy-measured networks only
+    let (mut seq_total, mut par_total) = (0.0f64, 0.0f64);
     for &ds in ctx.scale.datasets() {
         let g = config::network(ds, &ctx.scale, &ctx.params);
         let levels = config::levels(ds, &g, &ctx.scale, &ctx.params);
         let hier = hierarchy(&g, ctx.params.fanout, levels);
         let seq_opts = ShortcutOptions { threads: 1, ..Default::default() };
         let par_opts = ShortcutOptions { threads: 0, ..Default::default() };
-
-        // The all-pairs sweep is quadratic per Rnet; at continental size
-        // it would dominate the whole harness run, so the legacy column
-        // is only measured on the paper's networks.
-        let legacy = (ds != Dataset::Continent).then(|| {
-            min_seconds(reps, || {
-                std::hint::black_box(ShortcutStore::build_with_oracle(
-                    &g,
-                    &hier,
-                    ctx.params.metric,
-                    &seq_opts,
-                ));
-            })
-        });
         let seq = min_seconds(reps, || {
             std::hint::black_box(ShortcutStore::build(&g, &hier, ctx.params.metric, &seq_opts));
         });
         let par = min_seconds(reps, || {
             std::hint::black_box(ShortcutStore::build(&g, &hier, ctx.params.metric, &par_opts));
         });
-        if let Some(legacy) = legacy {
-            legacy_total += legacy;
-            legacy_seq_total += seq;
-        }
         seq_total += seq;
         par_total += par;
         rows.push(vec![
             format!("{} ({}n/{}e, l={levels})", ds.name(), g.num_nodes(), g.num_edges()),
-            legacy.map_or_else(|| "—".to_string(), fmt_secs),
             fmt_secs(seq),
             fmt_secs(par),
             format!("{}x", fmt_f(seq / par)),
         ]);
     }
-    let contraction_speedup = legacy_total / legacy_seq_total;
     let parallel_speedup = seq_total / par_total;
     rows.push(vec![
         "all datasets".to_string(),
-        fmt_secs(legacy_total),
         fmt_secs(seq_total),
         fmt_secs(par_total),
         format!("{}x", fmt_f(parallel_speedup)),
     ]);
-    // Contraction must never regress construction.  Asserted on the
-    // aggregate: at smoke scale the per-dataset builds are a fraction of a
-    // millisecond each and individually noise-dominated, while the summed
-    // measurement is stable (and dominated by the largest network, which is
-    // exactly where construction time matters).
-    if ctx.scale.name == "small" {
-        assert!(
-            contraction_speedup >= 1.0,
-            "contraction construction slower than the legacy sweep overall \
-             ({legacy_seq_total:.4}s vs {legacy_total:.4}s)"
-        );
-    }
     // Same-level Rnets are independent, so with real networks and real
     // hardware the level fan-out must pay for its scoped-thread overhead.
     // Asserted only at the paper-sized scales: at small scale builds are
@@ -116,10 +76,10 @@ pub fn run(ctx: &Ctx) {
              ({seq_total:.4}s sequential vs {par_total:.4}s parallel)"
         );
     }
-    let par_col = format!("contraction x{threads}");
+    let par_col = format!("build x{threads}");
     print_table(
-        "Shortcut construction — legacy sweep vs sequential vs parallel contraction",
-        &["network", "legacy sweep", "contraction x1", par_col.as_str(), "parallel speedup"],
+        "Shortcut construction — sequential vs parallel build",
+        &["network", "build x1", par_col.as_str(), "parallel speedup"],
         &rows,
     );
 }

@@ -275,7 +275,7 @@ impl UpdateHandle {
     /// already has mutates nothing and leaves the pending/stats state
     /// untouched (no spurious snapshot version on the next publish).
     ///
-    /// Repair cost is dominated by the contraction-based Rnet refreshes
+    /// Repair cost is dominated by the Rnet shortcut refreshes
     /// (`ShortcutStore::refresh_rnet`); the query arena is patched in place
     /// (`O(deg)`), so published snapshots keep serving from flat adjacency
     /// without a rebuild.

@@ -16,26 +16,26 @@
 //! used here is the *matrix rule*: with `dmat` the all-pairs border distance
 //! matrix of the Rnet's local graph, the pair `(b, t)` is kept iff
 //! `dmat[b][t]` is finite and no third border `m` satisfies
-//! `dmat[b][m] + dmat[m][t] <= dmat[b][t]` (ties drop — by the triangle
-//! inequality a covering pair splits at *exactly* the original distance, so
-//! chaining kept shortcuts reconstructs every border distance as long as
-//! edge weights are strictly positive, which road networks guarantee).
+//! `dmat[b][m] + dmat[m][t] <= dmat[b][t] * (1 + TIE_REL)` (ties drop — by
+//! the triangle inequality a covering pair splits at *exactly* the original
+//! distance, so chaining kept shortcuts reconstructs every border distance
+//! as long as edge weights are strictly positive, which road networks
+//! guarantee).
 //!
-//! Construction is contraction-based (ROADMAP item 1): instead of one full
-//! Dijkstra per border over the local graph, the interior nodes are
-//! *contracted* ([`road_network::contractor`]) and `dmat` is computed on the
-//! tiny border-only remainder graph, which preserves all pairwise border
-//! distances by construction. Kept pairs are then materialised by one
-//! *sealed* Dijkstra per source border over the local CSR arena
-//! ([`LocalDijkstra::run_csr`] with `seal_below` = the border count): border
-//! nodes are settled but never expanded, so the predecessor chains are
-//! border-free — Lemma 4's path shape — in a single pass. The legacy
-//! all-pairs sweep survives behind `#[cfg(any(test, feature =
-//! "oracle-build"))]` as [`ShortcutStore::build_with_oracle`]; because both
-//! builders share the canonical local-graph assembly, the matrix rule and
-//! the sealed finalisation pass, their outputs are **byte-identical**
-//! (pinned by `tests/construction_oracle.rs`), which is what makes the
-//! fast path safely swappable.
+//! The tolerance `TIE_REL` (`1e-12`, a constant, not an option) makes the
+//! rule robust to rounding: with float weights the covering sum
+//! `d(b,m) + d(m,t)` of a true tie can round one ulp *above* `d(b,t)`, and
+//! an exact `<=` would then keep a redundant shortcut whose every shortest
+//! path crosses `m`. Sums within `TIE_REL` of `d` count as ties.
+//!
+//! Construction is a per-border sweep: `dmat` is filled by one Dijkstra per
+//! border over the Rnet's local CSR arena ([`LocalDijkstra::run_csr`],
+//! stopping once every border is settled). Kept pairs are then materialised
+//! by one *sealed* Dijkstra per source border (`seal_below` = the border
+//! count): border nodes are settled but never expanded, so the predecessor
+//! chains are border-free — Lemma 4's path shape — in a single pass. The
+//! golden digests in `tests/store_digests.rs` pin the resulting store bytes
+//! on every network preset.
 //!
 //! Each shortcut stores its intermediate *waypoints* — physical nodes at
 //! the finest level, child border nodes above — which is exactly the
@@ -50,7 +50,6 @@
 //! clones only the affected Rnets' shortcut data.
 
 use crate::hierarchy::{RnetHierarchy, RnetId};
-use road_network::contractor::{ContractionOrder, Contractor};
 use road_network::csr::{CsrBuilder, CsrGraph};
 use road_network::dijkstra::LocalDijkstra;
 use road_network::graph::{RoadNetwork, WeightKind};
@@ -59,16 +58,12 @@ use road_network::path::Path;
 use road_network::{NodeId, Weight};
 use std::sync::Arc;
 
-/// Settle bound for each witness search during contraction. Bounded witness
-/// searches only ever make the remainder graph denser (a missed witness adds
-/// a redundant arc), never wrong, so this is purely a speed knob.
-const WITNESS_SETTLE_LIMIT: usize = 64;
-
-/// Local graphs below this node count contract with a witness budget of
-/// zero: their fill-in is already bounded by the (tiny) border count, so
-/// every witness search is pure overhead there.  Another speed knob —
-/// neither constant changes a single output byte.
-const WITNESS_MIN_NODES: usize = 256;
+/// Relative tolerance of the Lemma-4 tie test: a covering sum
+/// `d(b,m) + d(m,t)` within `d(b,t) * TIE_REL` above `d(b,t)` is a tie, so
+/// the pair `(b, t)` drops. Absorbs the one-ulp rounding of float sums;
+/// any value from `1e-15` to `1e-9` yields the same stores on every
+/// generator preset.
+const TIE_REL: f64 = 1e-12;
 
 /// One directed shortcut out of a border node.
 #[derive(Clone, Debug)]
@@ -88,37 +83,20 @@ pub struct ShortcutOptions {
     /// Apply Lemma 4: drop shortcuts covered by other shortcuts of the
     /// same Rnet. On by default; the ablation benchmark switches it off.
     pub prune_transitive: bool,
-    /// Order in which interior nodes are contracted. The final store is
-    /// independent of this choice (the remainder graph always preserves
-    /// border distances); differential tests vary it to prove exactly that.
-    pub contraction_order: ContractionOrder,
-    /// Witness-search settle budget per contraction, or `None` for the
-    /// adaptive default: `WITNESS_SETTLE_LIMIT` (64) once the local graph
-    /// reaches `WITNESS_MIN_NODES` (256) nodes, zero below (tiny Rnets bound
-    /// fill-in by their border count, so searching there is pure overhead).
-    /// Like the order, the budget never changes a single output byte —
-    /// differential tests vary it to prove exactly that.
-    pub witness_budget: Option<usize>,
     /// Worker threads for construction and multi-Rnet repair: Rnets of the
     /// same level are independent (Lemma 2 — a level reads only the level
     /// below), so each level fans out over scoped workers. `0` means "use
     /// [`std::thread::available_parallelism`]", `1` runs fully inline.
-    /// Like the order and the budget, the thread count never changes a
-    /// single output byte: every worker writes its Rnet's map into a
-    /// per-Rnet indexed slot and the slots are committed in hierarchy
-    /// order, so scheduling cannot reorder anything observable
-    /// (differential tests sweep 1/2/4/8 threads to prove it).
+    /// The thread count never changes a single output byte: every worker
+    /// writes its Rnet's map into a per-Rnet indexed slot and the slots are
+    /// committed in hierarchy order, so scheduling cannot reorder anything
+    /// observable (differential tests sweep 1/2/4/8 threads to prove it).
     pub threads: usize,
 }
 
 impl Default for ShortcutOptions {
     fn default() -> Self {
-        ShortcutOptions {
-            prune_transitive: true,
-            contraction_order: ContractionOrder::MinDegree,
-            witness_budget: None,
-            threads: 0,
-        }
+        ShortcutOptions { prune_transitive: true, threads: 0 }
     }
 }
 
@@ -363,9 +341,10 @@ impl ShortcutStore {
     /// Computes the shortcut map of one Rnet from the network (finest
     /// level) or from its children's current shortcuts (upper levels).
     ///
-    /// Pruned builds (the default) go through node contraction; unpruned
-    /// builds (the ablation baseline) keep the per-border sweep, since
-    /// without Lemma 4 every reachable pair is materialised anyway.
+    /// Pruned builds (the default) sweep one Dijkstra per border into the
+    /// border-distance matrix and finalise it under the matrix rule;
+    /// unpruned builds (the ablation baseline) materialise every reachable
+    /// pair straight from the sweep.
     fn compute_rnet_map(
         &self,
         g: &RoadNetwork,
@@ -385,57 +364,17 @@ impl ShortcutStore {
             self.sweep_unpruned(scratch, borders, &mut out);
             return out;
         }
-        // Contract the interiors; the *remainder* graph lives on the borders
-        // alone and preserves all their pairwise distances, so the dmat
-        // closure is a tiny Floyd-Warshall over an `nb x nb` flat matrix
-        // instead of |borders| Dijkstras over the whole local graph.  Under
-        // exact arithmetic the closure reproduces the sweep's distances
-        // bit-for-bit (both are exact sums of the same edge weights).
-        scratch.remainder_builder.clear();
-        let witness_budget =
-            opts.witness_budget.unwrap_or(if scratch.csr.num_nodes() >= WITNESS_MIN_NODES {
-                WITNESS_SETTLE_LIMIT
-            } else {
-                0
-            });
-        scratch.contractor.contract(
-            &scratch.csr,
-            borders.len() as u32,
-            opts.contraction_order,
-            witness_budget,
-            &mut scratch.remainder_builder,
-        );
         let nb = borders.len();
         scratch.dmat.clear();
         scratch.dmat.resize(nb * nb, Weight::INFINITY);
         // Per-worker inner loop of the parallel build: everything below runs
         // against this worker's own `BuildScratch` buffers (sized by the
-        // clear/resize above), so the closure must stay allocation-free.
+        // clear/resize above), so the sweep must stay allocation-free.
         // roadlint: hot-path
         for bi in 0..nb {
-            scratch.dmat[bi * nb + bi] = Weight::ZERO;
-        }
-        // Fold the remainder arcs straight off the builder: the closure only
-        // needs the min weight per border pair, so freezing them into a CSR
-        // (a counting sort) would be pure overhead.
-        for (u, v, w) in scratch.remainder_builder.arcs() {
-            let slot = &mut scratch.dmat[u as usize * nb + v as usize];
-            if w < *slot {
-                *slot = w;
-            }
-        }
-        for k in 0..nb {
-            for i in 0..nb {
-                let dik = scratch.dmat[i * nb + k];
-                if dik.is_infinite() {
-                    continue;
-                }
-                for j in 0..nb {
-                    let via = dik + scratch.dmat[k * nb + j];
-                    if via < scratch.dmat[i * nb + j] {
-                        scratch.dmat[i * nb + j] = via;
-                    }
-                }
+            scratch.dij.run_csr(&scratch.csr, bi as u32, &scratch.border_locals, 0);
+            for ti in 0..nb {
+                scratch.dmat[bi * nb + ti] = scratch.dij.dist(ti as u32);
             }
         }
         // roadlint: end hot-path
@@ -527,12 +466,11 @@ impl ShortcutStore {
         }
     }
 
-    /// Shared finalisation of a pruned build: apply the matrix keep rule to
+    /// Finalisation of a pruned build: apply the matrix keep rule to
     /// `scratch.dmat`, then materialise each source border's kept shortcuts
     /// with one *sealed* Dijkstra over the local CSR (borders settle but
     /// never expand), whose predecessor chains are border-free by
-    /// construction. Both the contraction build and the all-pairs oracle
-    /// funnel through here, which is what pins their outputs byte-equal.
+    /// construction.
     fn finalize_from_matrix(
         &self,
         scratch: &mut BuildScratch,
@@ -551,11 +489,12 @@ impl ShortcutStore {
                     continue; // internally disconnected Rnet: no shortcut
                 }
                 // Lemma 4 (matrix form): covered through any third border,
-                // ties drop.
+                // ties (up to rounding) drop.
+                let tie = Weight::new(d.get() * (1.0 + TIE_REL));
                 let covered = (0..nb).any(|mi| {
                     mi != bi
                         && mi != ti
-                        && scratch.dmat[bi * nb + mi] + scratch.dmat[mi * nb + ti] <= d
+                        && scratch.dmat[bi * nb + mi] + scratch.dmat[mi * nb + ti] <= tie
                 });
                 if !covered {
                     scratch.kept.push(ti as u32);
@@ -569,13 +508,12 @@ impl ShortcutStore {
             for &t in &scratch.kept {
                 let dist = scratch.dij.dist(t);
                 if dist.is_infinite() {
-                    // Float-tie fallout: every shortest path for this pair
-                    // runs through another border, but the covering sum
-                    // rounded one ulp above `d`, so the matrix rule kept
-                    // it. No interior-only path exists and the through-
-                    // border shortcuts already cover the pair — drop it
-                    // rather than materialise an infinite shortcut. Under
-                    // exact arithmetic this branch is unreachable.
+                    // Every shortest path for this pair runs through another
+                    // border, yet the covering sum missed `d` by more than
+                    // `TIE_REL`. No interior-only path exists and the
+                    // through-border shortcuts already cover the pair —
+                    // drop it rather than materialise an infinite shortcut.
+                    // Under exact arithmetic this branch is unreachable.
                     continue;
                 }
                 let mut via: Vec<NodeId> = Vec::new();
@@ -596,74 +534,11 @@ impl ShortcutStore {
         }
     }
 
-    /// Legacy all-pairs construction, kept as the differential-testing
-    /// oracle: `dmat` comes from one *full* local-graph Dijkstra per border
-    /// (the pre-contraction sweep) instead of the contraction remainder.
-    /// Shares the canonical assembly, matrix rule and sealed finalisation
-    /// with [`ShortcutStore::build`], so the two are byte-identical — the
-    /// remainder graph preserves all pairwise border distances exactly.
-    #[cfg(any(test, feature = "oracle-build"))]
-    pub fn build_with_oracle(
-        g: &RoadNetwork,
-        hier: &RnetHierarchy,
-        kind: WeightKind,
-        opts: &ShortcutOptions,
-    ) -> Self {
-        let mut store = ShortcutStore {
-            per_rnet: (0..hier.num_rnets()).map(|_| Arc::new(FastMap::default())).collect(),
-            num_shortcuts: 0,
-            num_bytes: 0,
-        };
-        let mut scratch = BuildScratch::default();
-        for level in (1..=hier.levels()).rev() {
-            for r in hier.rnets_at_level(level) {
-                let map = store.compute_rnet_map_oracle(g, hier, kind, r, opts, &mut scratch);
-                store.replace_rnet(r, map);
-            }
-        }
-        store
-    }
-
-    /// One Rnet of the oracle build (see
-    /// [`ShortcutStore::build_with_oracle`]).
-    #[cfg(any(test, feature = "oracle-build"))]
-    fn compute_rnet_map_oracle(
-        &self,
-        g: &RoadNetwork,
-        hier: &RnetHierarchy,
-        kind: WeightKind,
-        r: RnetId,
-        opts: &ShortcutOptions,
-        scratch: &mut BuildScratch,
-    ) -> FastMap<u32, Vec<ShortcutEdge>> {
-        let borders = hier.borders(r);
-        let mut out: FastMap<u32, Vec<ShortcutEdge>> = FastMap::default();
-        if borders.len() < 2 {
-            return out;
-        }
-        self.assemble_local(g, hier, kind, r, scratch, borders);
-        if !opts.prune_transitive {
-            self.sweep_unpruned(scratch, borders, &mut out);
-            return out;
-        }
-        let nb = borders.len();
-        scratch.dmat.clear();
-        scratch.dmat.resize(nb * nb, Weight::INFINITY);
-        for bi in 0..nb {
-            scratch.dij.run_csr(&scratch.csr, bi as u32, &scratch.border_locals, 0);
-            for ti in 0..nb {
-                scratch.dmat[bi * nb + ti] = scratch.dij.dist(ti as u32);
-            }
-        }
-        self.finalize_from_matrix(scratch, borders, &mut out);
-        out
-    }
-
     /// Per-Rnet source-key *iteration* order of the underlying hash maps —
-    /// exposed so differential tests can pin not just serialized bytes
-    /// (which sort sources) but the in-memory traversal order two builders
+    /// exposed so determinism tests can pin not just serialized bytes
+    /// (which sort sources) but the in-memory traversal order two builds
     /// produce.
-    #[cfg(any(test, feature = "oracle-build"))]
+    #[doc(hidden)]
     pub fn rnet_source_orders(&self) -> Vec<Vec<u32>> {
         self.per_rnet.iter().map(|m| m.keys().copied().collect()).collect()
     }
@@ -941,16 +816,14 @@ fn read_f64(buf: &[u8], pos: &mut usize) -> Result<f64, String> {
 }
 
 /// Reusable allocations for shortcut computation: the local-id interner,
-/// the CSR arena of the Rnet being built, the contraction state, the
-/// border-distance matrix and the shared Dijkstra.
+/// the CSR arena of the Rnet being built, the border-distance matrix and
+/// the shared Dijkstra.
 #[derive(Default)]
 pub(crate) struct BuildScratch {
     local_of: FastMap<u32, u32>,
     global: Vec<u32>,
     builder: CsrBuilder,
     csr: CsrGraph,
-    contractor: Contractor,
-    remainder_builder: CsrBuilder,
     dij: LocalDijkstra,
     /// The identity list `0..nb` (borders own the first local ids) — the
     /// target set handed to each matrix Dijkstra.
@@ -1221,20 +1094,20 @@ mod tests {
         assert!(diverged, "time-metric shortcuts should differ from distance-metric ones");
     }
 
-    /// The pruning rule, verified post hoc against restricted shortest-path
-    /// distances on a unit grid (heavy with equal-weight ties): the store
-    /// holds `(b, t)` **iff** the restricted distance is finite and no
-    /// third border `m` covers it with `d(b,m) + d(m,t) <= d(b,t)`.  Since
-    /// `d` is a shortest-path distance, a covering split can only be
-    /// *exactly equal* (triangle inequality), so every covered pair this
-    /// test sees is an equal-weight tie — pinning that ties drop the
-    /// shortcut rather than keep it.
-    #[test]
-    fn matrix_rule_governs_membership_and_ties_drop() {
-        let g = simple::grid(8, 8, 1.0);
-        let (hier, store) = build(&g, 4, 2, true);
-        let mut dij = Dijkstra::for_network(&g);
-        let mut tie_dropped = false;
+    /// Checks the pruning rule post hoc against restricted shortest-path
+    /// distances from an independent Dijkstra per border: the store holds
+    /// `(b, t)` **iff** the restricted distance is finite and no third
+    /// border `m` covers it with `d(b,m) + d(m,t) <= d(b,t) * (1 + TIE_REL)`.
+    /// Returns `(exact_ties, rounded_ties)`: covered pairs whose covering
+    /// sum is `<= d` exactly, and those covered only through the tolerance
+    /// (the sum rounded above `d`).
+    fn check_matrix_rule(
+        g: &RoadNetwork,
+        hier: &RnetHierarchy,
+        store: &ShortcutStore,
+    ) -> (usize, usize) {
+        let mut dij = Dijkstra::for_network(g);
+        let (mut exact_ties, mut rounded_ties) = (0, 0);
         for lv in 1..=hier.levels() {
             for r in hier.rnets_at_level(lv) {
                 let borders = hier.borders(r);
@@ -1242,7 +1115,7 @@ mod tests {
                 let mut dmat = vec![Weight::INFINITY; nb * nb];
                 for (bi, &b) in borders.iter().enumerate() {
                     dij.expand_filtered_multi(
-                        &g,
+                        g,
                         WeightKind::Distance,
                         &[(b, Weight::ZERO)],
                         |e| hier.rnet_of_edge_at(e, lv) == r,
@@ -1260,9 +1133,14 @@ mod tests {
                             continue;
                         }
                         let d = dmat[bi * nb + ti];
-                        let covered = (0..nb).any(|mi| {
-                            mi != bi && mi != ti && dmat[bi * nb + mi] + dmat[mi * nb + ti] <= d
-                        });
+                        let cover = |limit: Weight| {
+                            (0..nb).any(|mi| {
+                                mi != bi
+                                    && mi != ti
+                                    && dmat[bi * nb + mi] + dmat[mi * nb + ti] <= limit
+                            })
+                        };
+                        let covered = cover(Weight::new(d.get() * (1.0 + TIE_REL)));
                         let keep = d.is_finite() && !covered;
                         let present = store.between(r, borders[bi], borders[ti]).is_some();
                         assert_eq!(
@@ -1272,13 +1150,141 @@ mod tests {
                             borders[bi], borders[ti]
                         );
                         if d.is_finite() && covered {
-                            tie_dropped = true;
+                            if cover(d) {
+                                exact_ties += 1;
+                            } else {
+                                rounded_ties += 1;
+                            }
                         }
                     }
                 }
             }
         }
-        assert!(tie_dropped, "unit grid produced no equal-weight tie to pin");
+        (exact_ties, rounded_ties)
+    }
+
+    /// The pruning rule on two inputs. A unit grid is heavy with
+    /// equal-weight ties: since `d` is a shortest-path distance, a covering
+    /// split can only be *exactly equal* (triangle inequality), so every
+    /// covered pair is a tie — pinning that ties drop the shortcut rather
+    /// than keep it. The SF generator preset has float weights, whose
+    /// covering sums can round one ulp above `d`: those rounded ties must
+    /// drop too, under the same `TIE_REL` the builder uses.
+    #[test]
+    fn matrix_rule_governs_membership_and_ties_drop() {
+        let g = simple::grid(8, 8, 1.0);
+        let (hier, store) = build(&g, 4, 2, true);
+        let (exact_ties, _) = check_matrix_rule(&g, &hier, &store);
+        assert!(exact_ties > 0, "unit grid produced no equal-weight tie to pin");
+
+        let ds = road_network::generator::Dataset::SfStreets;
+        let g = ds.generate_scaled(0.012, 0xEDB7_2009).unwrap();
+        let (hier, store) = build(&g, 4, ds.suggested_levels(g.num_edges(), 4), true);
+        let (_, rounded_ties) = check_matrix_rule(&g, &hier, &store);
+        assert!(rounded_ties > 0, "SF float weights produced no rounded tie to pin");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Random worlds with decimal weights `k/10`, which are inexact in
+        /// binary, so equal-length splits often round apart: the matrix
+        /// rule still governs membership at every level.
+        #[test]
+        fn matrix_rule_holds_on_random_decimal_worlds(
+            n in 16usize..60,
+            extra in 0usize..20,
+            seed in 0u64..1000,
+        ) {
+            use rand::{RngExt, SeedableRng};
+            let mut g = simple::random_connected(n, extra, seed);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let edges: Vec<_> = g.edge_ids().collect();
+            for e in edges {
+                let w = Weight::new(f64::from(rng.random_range(1..=9u32)) / 10.0);
+                g.set_weight(e, WeightKind::Distance, w).unwrap();
+            }
+            let (hier, store) = build(&g, 2, 3, true);
+            check_matrix_rule(&g, &hier, &store);
+        }
+    }
+
+    /// Builds a triangle `b-m-t` (leaf 0) whose corners are borders because
+    /// each also has a pendant edge in leaf 1, and returns the network, the
+    /// hierarchy, the store and the triangle's leaf.
+    fn triangle_leaf(
+        bm: f64,
+        mt: f64,
+        bt: f64,
+    ) -> (RoadNetwork, RnetHierarchy, ShortcutStore, RnetId) {
+        let mut nb = road_network::NetworkBuilder::default();
+        let p = |x: f64, y: f64| road_network::Point::new(x, y);
+        let (b, m, t) =
+            (nb.add_node(p(0.0, 0.0)), nb.add_node(p(1.0, 1.0)), nb.add_node(p(2.0, 0.0)));
+        let triangle = [
+            nb.add_edge(b, m, bm).unwrap(),
+            nb.add_edge(m, t, mt).unwrap(),
+            nb.add_edge(b, t, bt).unwrap(),
+        ];
+        for (i, corner) in [b, m, t].into_iter().enumerate() {
+            let x = nb.add_node(p(i as f64, -3.0));
+            nb.add_edge(corner, x, 1.0).unwrap();
+        }
+        let g = nb.build();
+        let hier =
+            RnetHierarchy::from_leaf_assignment(&g, 2, 1, |e| u32::from(!triangle.contains(&e)))
+                .unwrap();
+        let store = ShortcutStore::build(&g, &hier, WeightKind::Distance, &Default::default());
+        let leaf = hier.leaf_of_edge(triangle[0]);
+        (g, hier, store, leaf)
+    }
+
+    /// `0.1 + 0.2` rounds to `0.30000000000000004`, one ulp above `0.3`:
+    /// the direct `b-t` edge and the split through `m` tie in exact
+    /// arithmetic, so the direct shortcut must drop like any other tie. A
+    /// cover that is genuinely longer — far beyond rounding, yet only a
+    /// millionth above `d` — keeps it: the tolerance absorbs rounding, not
+    /// real detours.
+    #[test]
+    fn rounded_ties_drop_and_real_detours_keep() {
+        let (b, m, t) = (NodeId(0), NodeId(1), NodeId(2));
+        let (bm, mt, bt) = (0.1, 0.2, 0.3);
+        assert!(bm + mt > bt, "the premise: the covering sum rounds above d");
+        let (_, _, store, leaf) = triangle_leaf(bm, mt, bt);
+        assert!(store.between(leaf, b, t).is_none(), "rounded tie b->t was kept");
+        assert!(store.between(leaf, t, b).is_none(), "rounded tie t->b was kept");
+        assert!(store.between(leaf, b, m).is_some());
+        assert!(store.between(leaf, m, t).is_some());
+
+        let (_, _, store, leaf) = triangle_leaf(bm, mt, bt * (1.0 - 1e-6));
+        let sc = store.between(leaf, b, t).expect("strictly shorter direct arc");
+        assert!(sc.via.is_empty());
+    }
+
+    /// Closed (infinite-weight) edges are never part of a shortcut: with the
+    /// direct edge closed the shortcut detours through `m`, and a pair whose
+    /// only connections are closed has no shortcut at all.
+    #[test]
+    fn closed_edges_are_not_shortcut_paths() {
+        let (mut g, hier, _, leaf) = triangle_leaf(1.0, 1.0, 1.0);
+        let (b, m, t) = (NodeId(0), NodeId(1), NodeId(2));
+        let bt = g.edge_between(b, t).unwrap();
+        g.set_weight(bt, WeightKind::Distance, Weight::INFINITY).unwrap();
+        let unpruned = ShortcutOptions { prune_transitive: false, ..Default::default() };
+        let store = ShortcutStore::build(&g, &hier, WeightKind::Distance, &unpruned);
+        let sc = store.between(leaf, b, t).expect("detour through m");
+        assert_eq!(sc.dist, Weight::new(2.0));
+        assert_eq!(sc.via, vec![m]);
+
+        let mt = g.edge_between(m, t).unwrap();
+        g.set_weight(mt, WeightKind::Distance, Weight::INFINITY).unwrap();
+        for prune in [true, false] {
+            let opts = ShortcutOptions { prune_transitive: prune, ..Default::default() };
+            let store = ShortcutStore::build(&g, &hier, WeightKind::Distance, &opts);
+            assert!(store.between(leaf, b, t).is_none(), "prune={prune}: t is cut off");
+            assert!(store.between(leaf, m, t).is_none(), "prune={prune}: t is cut off");
+            assert!(store.between(leaf, b, m).is_some(), "prune={prune}");
+        }
     }
 
     /// Degenerate leaves: a single-border Rnet keeps no shortcuts at all,

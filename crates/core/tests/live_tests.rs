@@ -325,7 +325,7 @@ fn move_object_is_atomic_and_rolls_back() {
         .unwrap();
 }
 
-/// Repair parity for the contraction-based builder: after a long mixed
+/// Repair parity for the shortcut builder: after a long mixed
 /// churn stream (weight updates, connector edges added and removed,
 /// object moves), the incrementally repaired shortcut store must be
 /// **byte-identical** to a from-scratch `ShortcutStore::build` over the
@@ -333,7 +333,7 @@ fn move_object_is_atomic_and_rolls_back() {
 /// Weights are small integers so f64 arithmetic is exact and the
 /// refresh path's no-op detection coincides with bitwise equality.
 #[test]
-fn contraction_refresh_equals_fresh_rebuild_after_mixed_churn() {
+fn refresh_equals_fresh_rebuild_after_mixed_churn() {
     use road_core::shortcut::ShortcutStore;
 
     let (_live, mut writer) = grid_engine(21, 16);

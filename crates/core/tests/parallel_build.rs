@@ -1,12 +1,11 @@
 //! Parallel-construction determinism harness: [`ShortcutStore::build`]
 //! with any worker-thread count must be **byte-identical** — same
 //! serialized bytes, same per-Rnet iteration order — to the fully
-//! sequential build, across random worlds, both contraction orders and
-//! forced witness budgets.  The scheduler owns *when* an Rnet's map is
-//! computed, never *what* it contains or *where* it lands: workers write
-//! into per-Rnet indexed slots and the caller commits them in hierarchy
-//! order, which is the whole byte-equality argument (see
-//! ARCHITECTURE.md, "Parallel construction").
+//! sequential build, across random worlds and fanouts.  The scheduler
+//! owns *when* an Rnet's map is computed, never *what* it contains or
+//! *where* it lands: workers write into per-Rnet indexed slots and the
+//! caller commits them in hierarchy order, which is the whole
+//! byte-equality argument (see ARCHITECTURE.md, "Parallel construction").
 //!
 //! The same must hold for maintenance: a batched, level-parallel repair
 //! ([`RoadFramework::set_edge_weights`]) has to leave the framework
@@ -25,7 +24,6 @@ use rand::{RngExt, SeedableRng};
 use road_core::prelude::*;
 use road_core::shortcut::{ShortcutOptions, ShortcutStore};
 use road_core::{HierarchyConfig, RnetHierarchy, UpdateOutcome};
-use road_network::contractor::ContractionOrder;
 use road_network::generator::simple;
 use road_network::graph::RoadNetwork;
 use road_network::ids::EdgeId;
@@ -89,9 +87,8 @@ fn assert_thread_counts_byte_identical(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random connected worlds under every (contraction order × witness
-    /// budget × fanout) combination the sequential suite pins: thread
-    /// counts 1/2/4/8 all serialize to the same bytes.
+    /// Random connected worlds, both fanouts: thread counts 1/2/4/8 all
+    /// serialize to the same bytes.
     #[test]
     fn parallel_build_is_byte_identical(
         n in 16usize..70,
@@ -99,29 +96,13 @@ proptest! {
         seed in 0u64..1000,
         dyadic in (0u8..2).prop_map(|b| b == 1),
         fanout in (1u32..3).prop_map(|p| 1usize << p),
-        order in (0u8..3).prop_map(|o| match o {
-            0 => ContractionOrder::MinDegree,
-            1 => ContractionOrder::InputOrder,
-            _ => ContractionOrder::ReverseInput,
-        }),
-        budget in (0u8..4).prop_map(|b| match b {
-            0 => None,
-            1 => Some(0),
-            2 => Some(4),
-            _ => Some(1 << 20),
-        }),
     ) {
         let mut g = simple::random_connected(n, extra, seed);
         reweight(&mut g, seed, dyadic);
         let levels = if fanout >= 4 { 2 } else { 3 };
         let hier = hier_for(&g, fanout, levels);
-        let opts = ShortcutOptions {
-            contraction_order: order,
-            witness_budget: budget,
-            ..Default::default()
-        };
-        assert_thread_counts_byte_identical(&g, &hier, &opts,
-            &format!("n={n} extra={extra} seed={seed} dyadic={dyadic} fanout={fanout} order={order:?} budget={budget:?}"));
+        assert_thread_counts_byte_identical(&g, &hier, &ShortcutOptions::default(),
+            &format!("n={n} extra={extra} seed={seed} dyadic={dyadic} fanout={fanout}"));
     }
 
     /// Repair parity: a weight-update storm applied as one batched,
@@ -178,30 +159,22 @@ proptest! {
     }
 }
 
-/// The `threads` knob composes with the other output-independent knobs on
-/// a fixed world — the deterministic cousin of the proptest above, cheap
-/// enough to run on every push.
+/// Thread counts agree on a fixed world, pruned and unpruned — the
+/// deterministic cousin of the proptest above, cheap enough to run on
+/// every push.
 #[test]
-fn thread_counts_agree_across_orders_and_budgets() {
+fn thread_counts_agree_on_a_fixed_grid() {
     let mut g = simple::grid(9, 8, 1.0);
     reweight(&mut g, 42, false);
     let hier = hier_for(&g, 2, 3);
-    for order in
-        [ContractionOrder::MinDegree, ContractionOrder::InputOrder, ContractionOrder::ReverseInput]
-    {
-        for budget in [None, Some(0), Some(4)] {
-            let opts = ShortcutOptions {
-                contraction_order: order,
-                witness_budget: budget,
-                ..Default::default()
-            };
-            assert_thread_counts_byte_identical(
-                &g,
-                &hier,
-                &opts,
-                &format!("grid 9x8 order={order:?} budget={budget:?}"),
-            );
-        }
+    for prune_transitive in [true, false] {
+        let opts = ShortcutOptions { prune_transitive, ..Default::default() };
+        assert_thread_counts_byte_identical(
+            &g,
+            &hier,
+            &opts,
+            &format!("grid 9x8 prune={prune_transitive}"),
+        );
     }
 }
 

@@ -403,7 +403,7 @@ fn roundtrip_after_mixed_maintenance_agrees_with_fresh_rebuild() {
 /// path: after mixed maintenance with exact (integer) weights, the image
 /// opened via `PagedImage::open` and materialized must re-serialize to
 /// the **identical** bytes, and its shortcut section must byte-match a
-/// from-scratch contraction rebuild over the mutated network.
+/// from-scratch rebuild over the mutated network.
 #[test]
 fn repaired_overlay_roundtrips_byte_identical_via_paged_open() {
     let mut fw =
@@ -427,7 +427,7 @@ fn repaired_overlay_roundtrips_byte_identical_via_paged_open() {
     let restored = image.into_framework().unwrap();
     assert_eq!(restored.to_bytes(), bytes, "paged open + re-serialize must be the identity");
 
-    // The repaired store equals a fresh contraction build, byte for byte
+    // The repaired store equals a fresh build, byte for byte
     // (integer weights make f64 arithmetic exact, so the incremental
     // refreshes must land on the same bits).
     let fresh = road_core::ShortcutStore::build(

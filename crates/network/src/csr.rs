@@ -1,22 +1,21 @@
 //! Flat CSR (compressed sparse row) adjacency arenas.
 //!
-//! The shortcut builder and the contraction pass (see [`crate::contractor`])
-//! work over *local* graphs — an Rnet's borders and interiors renumbered to a
-//! dense `0..n` id space.  The legacy representation was a pointer-rich
-//! `Vec<Vec<LocalEdge>>`; this module replaces it with a single contiguous
-//! arena: arc targets, weights and labels live in three parallel flat vectors
-//! indexed by a per-node offset table.  That layout is what every contraction
-//! hierarchy implementation converges on (Nannicini et al., *Fast paths in
-//! large-scale dynamic road networks*): one cache line holds several arcs, a
-//! rebuild is three `memcpy`-shaped passes, and there is no per-node heap
-//! allocation at all.
+//! The shortcut builder works over *local* graphs — an Rnet's borders and
+//! interiors renumbered to a dense `0..n` id space.  The legacy
+//! representation was a pointer-rich `Vec<Vec<LocalEdge>>`; this module
+//! replaces it with a single contiguous arena: arc targets, weights and
+//! labels live in three parallel flat vectors indexed by a per-node offset
+//! table.  That layout is what every contraction hierarchy implementation
+//! converges on (Nannicini et al., *Fast paths in large-scale dynamic road
+//! networks*): one cache line holds several arcs, a rebuild is three
+//! `memcpy`-shaped passes, and there is no per-node heap allocation at all.
 //!
 //! [`CsrBuilder`] accepts arcs in any order and finalises them with a stable
-//! counting sort, so arcs of one source node keep their insertion order — the
-//! shortcut builder relies on that to stay byte-compatible with the legacy
-//! adjacency-list sweep.  Both the builder and the graph are designed for
-//! reuse: `finish_into` writes into a caller-owned [`CsrGraph`], and all
-//! scratch vectors are recycled across Rnets.
+//! counting sort, so arcs of one source node keep their insertion order —
+//! the shortcut builder relies on that for byte-stable stores.  Both the
+//! builder and the graph are designed for reuse: `finish_into` writes into
+//! a caller-owned [`CsrGraph`], and all scratch vectors are recycled across
+//! Rnets.
 
 // roadlint: serving-path
 
@@ -108,18 +107,6 @@ impl CsrBuilder {
         self.labels.clear();
     }
 
-    /// Number of arcs pushed since the last [`clear`](Self::clear).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.srcs.len()
-    }
-
-    /// True when no arcs have been pushed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.srcs.is_empty()
-    }
-
     /// Record one directed arc `from -> to`.
     #[inline]
     pub fn push(&mut self, from: u32, to: u32, weight: Weight, label: u32) {
@@ -127,15 +114,6 @@ impl CsrBuilder {
         self.dsts.push(to);
         self.ws.push(weight);
         self.labels.push(label);
-    }
-
-    /// Iterate the raw pushed arcs as `(from, to, weight)` in push order,
-    /// without freezing them into a [`CsrGraph`].  Consumers that only fold
-    /// over the arc set (the shortcut builder's border-distance closure)
-    /// skip the counting sort entirely.
-    #[inline]
-    pub fn arcs(&self) -> impl Iterator<Item = (u32, u32, Weight)> + '_ {
-        self.srcs.iter().zip(&self.dsts).zip(&self.ws).map(|((&s, &d), &w)| (s, d, w))
     }
 
     /// Freeze the pushed arcs into `out` as a CSR arena over `num_nodes`

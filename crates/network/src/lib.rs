@@ -11,8 +11,7 @@
 //! * [`dijkstra`] / [`astar`] — network-expansion primitives (visitor-based
 //!   Dijkstra, one-to-one / one-to-many variants, A* with a Euclidean
 //!   admissible heuristic);
-//! * [`csr`] / [`contractor`] — flat CSR adjacency arenas and node
-//!   contraction with bounded witness search, the fast path for shortcut
+//! * [`csr`] — flat CSR adjacency arenas, the local graphs of shortcut
 //!   construction;
 //! * [`partition`] — edge-disjoint graph partitioning (geometric bisection
 //!   refined by a Kernighan–Lin pass) used to form Rnets;
@@ -24,7 +23,6 @@
 //! seed, which keeps every experiment in the workspace reproducible.
 
 pub mod astar;
-pub mod contractor;
 pub mod csr;
 pub mod dijkstra;
 pub mod error;
