@@ -325,4 +325,9 @@ fn the_workspace_itself_is_clean() {
         "run_batch fan-out verdict missing: {:#?}",
         a.order
     );
+    assert!(
+        chain("split_into", "joined in spawn order", "deterministic commit order"),
+        "partition bisection-tree fan-out verdict missing: {:#?}",
+        a.order
+    );
 }

@@ -16,7 +16,7 @@
 
 use road_network::graph::RoadNetwork;
 use road_network::hash::{FastMap, FastSet};
-use road_network::partition::{partition_edges, PartitionOptions};
+use road_network::partition::{bisection_leaves, PartitionOptions};
 use road_network::{EdgeId, NodeId};
 use std::fmt;
 
@@ -91,7 +91,24 @@ pub struct RnetHierarchy {
 
 impl RnetHierarchy {
     /// Builds the hierarchy by recursive geometric + KL partitioning.
+    ///
+    /// The `levels` rounds of `fanout`-way splits are one binary bisection
+    /// tree of depth `levels · log2(fanout)`, run in parallel on up to
+    /// `available_parallelism()` threads; the result is the same at any
+    /// thread count.
     pub fn build(g: &RoadNetwork, cfg: &HierarchyConfig) -> Result<Self, crate::RoadError> {
+        Self::build_with_workers(g, cfg, 0)
+    }
+
+    /// [`RnetHierarchy::build`] with an explicit partition worker count
+    /// (`0` = automatic), for the thread-sweep tests and the construction
+    /// table.
+    #[doc(hidden)]
+    pub fn build_with_workers(
+        g: &RoadNetwork,
+        cfg: &HierarchyConfig,
+        workers: usize,
+    ) -> Result<Self, crate::RoadError> {
         if !cfg.fanout.is_power_of_two() || cfg.fanout < 2 {
             return Err(crate::RoadError::InvalidConfig(format!(
                 "fanout must be a power of two >= 2, got {}",
@@ -121,21 +138,16 @@ impl RnetHierarchy {
         }
         level_offsets.push(acc as u32);
 
-        // Recursive edge partitioning; group order defines child indexes.
-        let mut groups: Vec<Vec<EdgeId>> = vec![g.edge_ids().collect()];
-        for _lv in 1..=l {
-            let mut next = Vec::with_capacity(groups.len() * cfg.fanout);
-            for group in &groups {
-                let assignment = partition_edges(g, group, cfg.fanout, &cfg.partition);
-                let mut parts: Vec<Vec<EdgeId>> = vec![Vec::new(); cfg.fanout];
-                for (i, &e) in group.iter().enumerate() {
-                    parts[assignment[i] as usize].push(e);
-                }
-                next.extend(parts);
-            }
-            groups = next;
-        }
-        let leaf_edges = groups;
+        // A leaf's bisection path, read `log2(p)` bits per level, is its
+        // child index at every level, so the tree's leaf order is the
+        // finest level's Rnet order.
+        let edges: Vec<EdgeId> = g.edge_ids().collect();
+        let depth = l * p.trailing_zeros();
+        let leaf_edges: Vec<Vec<EdgeId>> =
+            bisection_leaves(g, &edges, depth, &cfg.partition, workers)
+                .into_iter()
+                .map(|leaf| leaf.into_iter().map(|i| edges[i as usize]).collect())
+                .collect();
         debug_assert_eq!(leaf_edges.len() as u64, (p as u64).pow(l));
 
         let leaf_base = level_offsets[l as usize - 1];

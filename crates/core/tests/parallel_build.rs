@@ -12,6 +12,10 @@
 //! byte-identical to applying the same updates one at a time through the
 //! sequential per-Rnet refresh chain.
 //!
+//! The hierarchy obeys the same rule: the partitioner's bisection tree
+//! with any worker count must assign every edge to the same leaf, give every
+//! Rnet the same border list, and so lead to the same store bytes.
+//!
 //! Weights are exact in f64 (small integers / dyadic rationals), so
 //! "equivalent" and "bit-identical" coincide — any scheduling leak shows
 //! up as a byte diff, not as an approx-eq near miss.
@@ -23,10 +27,10 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use road_core::prelude::*;
 use road_core::shortcut::{ShortcutOptions, ShortcutStore};
-use road_core::{HierarchyConfig, RnetHierarchy, UpdateOutcome};
-use road_network::generator::simple;
+use road_core::{HierarchyConfig, RnetHierarchy, RnetId, UpdateOutcome};
+use road_network::generator::{simple, Dataset};
 use road_network::graph::RoadNetwork;
-use road_network::ids::EdgeId;
+use road_network::ids::{EdgeId, NodeId};
 
 /// Rewrites every edge's Distance weight deterministically from `seed` —
 /// small integers or dyadic rationals `k/64`, both exact in f64.
@@ -84,8 +88,61 @@ fn assert_thread_counts_byte_identical(
     }
 }
 
+/// Builds the hierarchy with 1 partition worker, then with 2/4/8, and
+/// diffs the leaf of every edge, the borders of every Rnet and the
+/// serialized store over each.
+fn assert_partition_workers_agree(g: &RoadNetwork, cfg: &HierarchyConfig, label: &str) {
+    let leaves = |h: &RnetHierarchy| -> Vec<Option<u32>> {
+        g.edge_ids().map(|e| h.leaf_index_of_edge(e)).collect()
+    };
+    let borders = |h: &RnetHierarchy| -> Vec<Vec<NodeId>> {
+        (0..h.num_rnets() as u32).map(|r| h.borders(RnetId(r)).to_vec()).collect()
+    };
+    let store = |h: &RnetHierarchy| {
+        let opts = ShortcutOptions { threads: 1, ..Default::default() };
+        serialize(&ShortcutStore::build(g, h, WeightKind::Distance, &opts))
+    };
+    let reference = RnetHierarchy::build_with_workers(g, cfg, 1).unwrap();
+    let (ref_leaves, ref_borders, ref_store) =
+        (leaves(&reference), borders(&reference), store(&reference));
+    for workers in [2usize, 4, 8] {
+        let hier = RnetHierarchy::build_with_workers(g, cfg, workers).unwrap();
+        assert_eq!(leaves(&hier), ref_leaves, "{label}: leaves diverged at {workers} workers");
+        assert_eq!(borders(&hier), ref_borders, "{label}: borders diverged at {workers} workers");
+        assert_eq!(store(&hier), ref_store, "{label}: store bytes diverged at {workers} workers");
+    }
+}
+
+/// The partition thread sweep on the small evaluation presets.
+#[test]
+fn partition_workers_agree_on_presets() {
+    for (ds, scale) in [(Dataset::CaHighways, 0.04), (Dataset::SfStreets, 0.012)] {
+        let g = ds.generate_scaled(scale, 0xEDB7_2009).unwrap();
+        let levels = ds.suggested_levels(g.num_edges(), 4);
+        let cfg = HierarchyConfig { fanout: 4, levels, ..Default::default() };
+        assert_partition_workers_agree(&g, &cfg, &format!("{ds} x{scale}"));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random connected worlds, both fanouts: the hierarchy and the store
+    /// over it are the same at 1/2/4/8 partition workers.
+    #[test]
+    fn partition_workers_agree(
+        n in 16usize..160,
+        extra in 0usize..40,
+        seed in 0u64..1000,
+        fanout in (1u32..3).prop_map(|p| 1usize << p),
+    ) {
+        let mut g = simple::random_connected(n, extra, seed);
+        reweight(&mut g, seed, false);
+        let levels = if fanout >= 4 { 2 } else { 4 };
+        let cfg = HierarchyConfig { fanout, levels, ..Default::default() };
+        assert_partition_workers_agree(&g, &cfg,
+            &format!("n={n} extra={extra} seed={seed} fanout={fanout}"));
+    }
 
     /// Random connected worlds, both fanouts: thread counts 1/2/4/8 all
     /// serialize to the same bytes.

@@ -13,10 +13,41 @@
 //! nodes). The unit moved by KL is therefore an edge, and the cost function
 //! is the number of *internal border nodes*: nodes incident to edges of
 //! both halves.
+//!
+//! # Flat arrays
+//!
+//! One bisection renumbers its nodes to dense local ids and keeps all KL
+//! state in flat arrays over them: an `[la, lb]` endpoint pair per edge, a
+//! CSR index of each node's incident edges (in edge order) and a
+//! `Vec<[u32; 2]>` of per-side edge counts, refilled each pass. The only
+//! hashed structures are the global → local id map, built once per
+//! bisection, and the set of current border nodes.
+//!
+//! # Tie order, kept on purpose
+//!
+//! The move loop scans the border set in hash order and keeps the *first*
+//! edge of best gain, so equal-gain ties follow that order, and the order
+//! is part of the partition. The border set is a `FastMap<global id, local
+//! id>` driven by a fixed insert/remove sequence: each pass seeds it in the
+//! iteration order of a map fed every edge's endpoints `a` then `b` in edge
+//! order, and each flip updates `a` before `b`. Hash-table iteration order
+//! depends only on the hasher and that key sequence. Changing the sequence,
+//! the container's key, or breaking ties by lowest index instead would
+//! change every partition and every pinned store digest over one.
+//!
+//! # The parallel bisection tree
+//!
+//! A bisection reads only its own edge list, kept in input order, so the
+//! recursion is a binary tree whose nodes are independent once their parent
+//! has split. [`bisection_leaves`] runs it with the right half on a scoped
+//! worker (while workers remain) and the left half inline, each writing its
+//! leaves into its own index-addressed half of the slot array, and joins
+//! the worker in spawn order. Which thread ran a subtree never reaches its
+//! leaves, so the result is identical at any worker count.
 
 use crate::graph::RoadNetwork;
 use crate::hash::FastMap;
-use crate::ids::{EdgeId, NodeId};
+use crate::ids::EdgeId;
 
 /// Tuning knobs for the bisection.
 #[derive(Clone, Debug)]
@@ -40,7 +71,9 @@ impl Default for PartitionOptions {
 /// edge, in input order.
 ///
 /// # Panics
-/// Panics if `parts` is zero or not a power of two.
+/// Panics if `parts` is zero, not a power of two, or above `2^16`. This is
+/// a caller precondition: the hierarchy builder never gets here with a bad
+/// fanout, because `HierarchyConfig` validation rejects it first.
 pub fn partition_edges(
     g: &RoadNetwork,
     edges: &[EdgeId],
@@ -50,44 +83,83 @@ pub fn partition_edges(
     assert!(parts > 0 && parts.is_power_of_two(), "fanout must be a power of two, got {parts}");
     assert!(parts <= u16::MAX as usize + 1, "fanout too large");
     let mut assignment = vec![0u16; edges.len()];
-    if parts == 1 || edges.len() <= 1 {
-        return assignment;
-    }
-    // Recursive binary splitting: each round doubles the number of parts.
-    let rounds = parts.trailing_zeros();
-    let mut groups: Vec<Vec<u32>> = vec![(0..edges.len() as u32).collect()];
-    for _ in 0..rounds {
-        let mut next: Vec<Vec<u32>> = Vec::with_capacity(groups.len() * 2);
-        for group in groups {
-            if group.len() <= 1 {
-                // Degenerate group: it still occupies two part slots so that
-                // part numbering stays aligned with the recursion shape.
-                next.push(group);
-                next.push(Vec::new());
-                continue;
-            }
-            let subset: Vec<EdgeId> = group.iter().map(|&i| edges[i as usize]).collect();
-            let side = bisect(g, &subset, opts);
-            let mut left = Vec::new();
-            let mut right = Vec::new();
-            for (pos, &idx) in group.iter().enumerate() {
-                if side[pos] {
-                    right.push(idx);
-                } else {
-                    left.push(idx);
-                }
-            }
-            next.push(left);
-            next.push(right);
-        }
-        groups = next;
-    }
-    for (part, group) in groups.iter().enumerate() {
+    for (part, group) in
+        bisection_leaves(g, edges, parts.trailing_zeros(), opts, 0).iter().enumerate()
+    {
         for &idx in group {
             assignment[idx as usize] = part as u16;
         }
     }
     assignment
+}
+
+/// Splits `edges` into `2^depth` leaf groups by recursive bisection. Leaf
+/// `i` is reached by the binary digits of `i`, most significant first
+/// (`0` = left half); each leaf lists positions in `edges`, ascending. A
+/// group of at most one edge is not split: it stays in the leftmost leaf of
+/// its subtree and the others stay empty.
+///
+/// `workers` caps the threads used (`0` = `available_parallelism`); the
+/// result does not depend on it.
+#[doc(hidden)]
+pub fn bisection_leaves(
+    g: &RoadNetwork,
+    edges: &[EdgeId],
+    depth: u32,
+    opts: &PartitionOptions,
+    workers: usize,
+) -> Vec<Vec<u32>> {
+    let workers = if workers == 0 {
+        std::thread::available_parallelism().map_or(1, usize::from)
+    } else {
+        workers
+    };
+    let mut leaves = vec![Vec::new(); 1usize << depth];
+    split_into(g, edges, (0..edges.len() as u32).collect(), &mut leaves, opts, workers);
+    leaves
+}
+
+/// Recursively bisects `group` (positions in `edges`) down to one group per
+/// slot, writing each leaf into its slot. With more than one worker the
+/// right half runs on a scoped thread owning the upper half of `slots`, the
+/// left half inline on the lower half; the worker is then joined, and a
+/// panic in it is re-raised here.
+fn split_into(
+    g: &RoadNetwork,
+    edges: &[EdgeId],
+    group: Vec<u32>,
+    slots: &mut [Vec<u32>],
+    opts: &PartitionOptions,
+    workers: usize,
+) {
+    if slots.len() == 1 || group.len() <= 1 {
+        slots[0] = group;
+        return;
+    }
+    let subset: Vec<EdgeId> = group.iter().map(|&i| edges[i as usize]).collect();
+    let side = bisect(g, &subset, opts);
+    let (mut left, mut right) = (Vec::new(), Vec::new());
+    for (&idx, &s) in group.iter().zip(&side) {
+        if s {
+            right.push(idx);
+        } else {
+            left.push(idx);
+        }
+    }
+    let (lo, hi) = slots.split_at_mut(slots.len() / 2);
+    if workers < 2 {
+        split_into(g, edges, left, lo, opts, 1);
+        split_into(g, edges, right, hi, opts, 1);
+        return;
+    }
+    let right_workers = workers / 2;
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(move || split_into(g, edges, right, hi, opts, right_workers));
+        split_into(g, edges, left, lo, opts, workers - right_workers);
+        if let Err(panic) = worker.join() {
+            std::panic::resume_unwind(panic);
+        }
+    });
 }
 
 /// Bisects an edge set: `false` = left half, `true` = right half.
@@ -131,60 +203,87 @@ fn geometric_split(g: &RoadNetwork, edges: &[EdgeId]) -> Vec<bool> {
     side
 }
 
-/// Node bookkeeping for the KL pass: how many incident region edges lie on
-/// each side, plus the explicit set of current border nodes so the move
-/// loop never scans interior nodes.
-struct SideCounts {
-    counts: FastMap<u32, [u32; 2]>,
-    border: crate::hash::FastSet<u32>,
+/// An edge set renumbered to dense local node ids. The graph rejects
+/// self-loops, so an edge's two endpoints are always distinct nodes.
+struct LocalGraph {
+    /// `[la, lb]` local endpoints per edge, in input order.
+    ends: Vec<[u32; 2]>,
+    /// Global node id per local id.
+    global: Vec<u32>,
+    /// Local ids in the iteration order of the global → local id map,
+    /// whose keys arrived as `a` then `b` for each edge in order.
+    hash_order: Vec<u32>,
+    /// CSR incident index: local node `l`'s edges are
+    /// `incident[offsets[l]..offsets[l + 1]]`, in edge order.
+    offsets: Vec<u32>,
+    incident: Vec<u32>,
 }
 
-impl SideCounts {
-    fn build(g: &RoadNetwork, edges: &[EdgeId], side: &[bool]) -> Self {
-        let mut counts: FastMap<u32, [u32; 2]> = FastMap::default();
-        for (i, &e) in edges.iter().enumerate() {
-            let s = side[i] as usize;
-            let (a, b) = g.edge(e).endpoints();
-            counts.entry(a.0).or_insert([0, 0])[s] += 1;
-            counts.entry(b.0).or_insert([0, 0])[s] += 1;
+impl LocalGraph {
+    fn new(g: &RoadNetwork, edges: &[EdgeId]) -> Self {
+        let mut ids: FastMap<u32, u32> = FastMap::default();
+        let mut global = Vec::new();
+        let mut local = |n: u32| {
+            *ids.entry(n).or_insert_with(|| {
+                global.push(n);
+                global.len() as u32 - 1
+            })
+        };
+        let ends: Vec<[u32; 2]> = edges
+            .iter()
+            .map(|&e| {
+                let (a, b) = g.edge(e).endpoints();
+                [local(a.0), local(b.0)]
+            })
+            .collect();
+        let hash_order = ids.values().copied().collect();
+        let mut offsets = vec![0u32; global.len() + 1];
+        for &[a, b] in &ends {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
         }
-        let border = counts.iter().filter(|(_, c)| c[0] > 0 && c[1] > 0).map(|(&n, _)| n).collect();
-        SideCounts { counts, border }
+        for l in 0..global.len() {
+            offsets[l + 1] += offsets[l];
+        }
+        let mut fill = offsets.clone();
+        let mut incident = vec![0u32; 2 * ends.len()];
+        for (i, &[a, b]) in ends.iter().enumerate() {
+            for n in [a, b] {
+                incident[fill[n as usize] as usize] = i as u32;
+                fill[n as usize] += 1;
+            }
+        }
+        LocalGraph { ends, global, hash_order, offsets, incident }
     }
 
-    /// Snapshot of the current border nodes.
-    fn border_nodes(&self) -> Vec<u32> {
-        self.border.iter().copied().collect()
+    fn edges_of(&self, l: u32) -> &[u32] {
+        &self.incident[self.offsets[l as usize] as usize..self.offsets[l as usize + 1] as usize]
     }
 
-    /// Border-count delta caused by flipping one incident edge of `n` from
-    /// side `s` to side `1 - s`.
-    #[inline]
-    fn flip_delta(&self, n: NodeId, s: usize) -> i64 {
-        let c = self.counts[&n.0];
-        let before = (c[0] > 0 && c[1] > 0) as i64;
-        let mut after = c;
-        after[s] -= 1;
-        after[1 - s] += 1;
-        let after = (after[0] > 0 && after[1] > 0) as i64;
-        after - before
-    }
-
-    #[inline]
-    fn apply_flip(&mut self, n: NodeId, s: usize) {
-        let c = self.counts.get_mut(&n.0).unwrap();
-        c[s] -= 1;
-        c[1 - s] += 1;
-        if c[0] > 0 && c[1] > 0 {
-            self.border.insert(n.0);
-        } else {
-            self.border.remove(&n.0);
+    /// Per-node edge counts on each side.
+    fn fill_counts(&self, side: &[bool], counts: &mut Vec<[u32; 2]>) {
+        counts.clear();
+        counts.resize(self.global.len(), [0, 0]);
+        for (&[a, b], &s) in self.ends.iter().zip(side) {
+            counts[a as usize][s as usize] += 1;
+            counts[b as usize][s as usize] += 1;
         }
     }
+}
 
-    fn border_count(&self) -> usize {
-        self.border.len()
-    }
+#[inline]
+fn is_border(c: [u32; 2]) -> bool {
+    c[0] > 0 && c[1] > 0
+}
+
+/// Border-count delta caused by flipping one incident edge of a node with
+/// side counts `c` from side `s` to side `1 - s`.
+#[inline]
+fn flip_delta(c: [u32; 2], s: usize) -> i64 {
+    let mut after = c;
+    after[s] -= 1;
+    after[1 - s] += 1;
+    is_border(after) as i64 - is_border(c) as i64
 }
 
 /// Kernighan–Lin refinement: repeatedly build a chain of tentative
@@ -203,47 +302,38 @@ fn kl_refine(g: &RoadNetwork, edges: &[EdgeId], side: &mut [bool], opts: &Partit
     };
     let min_side = ((edges.len() as f64) * opts.min_balance).floor() as i64;
 
-    // Per-node incident-edge index within the region (built once; the
-    // candidate scan below walks only edges touching current border
-    // nodes, keeping each move O(border) instead of O(|edges|)).
-    let mut incident: FastMap<u32, Vec<u32>> = FastMap::default();
-    for (i, &e) in edges.iter().enumerate() {
-        let (a, b) = g.edge(e).endpoints();
-        incident.entry(a.0).or_default().push(i as u32);
-        if b != a {
-            incident.entry(b.0).or_default().push(i as u32);
-        }
-    }
-
+    let lg = LocalGraph::new(g, edges);
+    let mut counts: Vec<[u32; 2]> = Vec::new();
+    let mut locked = vec![false; edges.len()];
+    let mut moved: Vec<u32> = Vec::new();
     for _pass in 0..opts.kl_passes {
-        let mut counts = SideCounts::build(g, edges, side);
-        let mut locked = vec![false; edges.len()];
+        lg.fill_counts(side, &mut counts);
+        // Current border nodes, global id → local id; the candidate scan
+        // walks only their incident edges, keeping each move O(border).
+        let mut border: FastMap<u32, u32> = FastMap::default();
+        for &l in &lg.hash_order {
+            if is_border(counts[l as usize]) {
+                border.insert(lg.global[l as usize], l);
+            }
+        }
+        locked.fill(false);
+        moved.clear();
         let mut side_sizes = [0i64; 2];
         for &s in side.iter() {
             side_sizes[s as usize] += 1;
         }
 
-        let gain_of = |counts: &SideCounts, side: &[bool], i: usize| -> i64 {
-            let (a, b) = g.edge(edges[i]).endpoints();
-            let s = side[i] as usize;
-            if a == b {
-                return 0;
-            }
-            -(counts.flip_delta(a, s) + counts.flip_delta(b, s))
-        };
-
         // Chain of tentative moves.
-        let mut moved: Vec<u32> = Vec::new();
         let mut cumulative = 0i64;
         let mut best_cumulative = 0i64;
         let mut best_len = 0usize;
 
         for _step in 0..move_cap {
-            // Candidates: unlocked edges touching a current border node.
+            // Candidates: unlocked edges touching a current border node;
+            // the first edge of best gain wins.
             let mut best: Option<(i64, usize)> = None;
-            for node in counts.border_nodes() {
-                let Some(edge_list) = incident.get(&node) else { continue };
-                for &iu in edge_list {
+            for &l in border.values() {
+                for &iu in lg.edges_of(l) {
                     let i = iu as usize;
                     if locked[i] {
                         continue;
@@ -252,18 +342,27 @@ fn kl_refine(g: &RoadNetwork, edges: &[EdgeId], side: &mut [bool], opts: &Partit
                     if side_sizes[s] - 1 < min_side {
                         continue; // would unbalance
                     }
-                    let gain = gain_of(&counts, side, i);
+                    let [a, b] = lg.ends[i];
+                    let gain =
+                        -(flip_delta(counts[a as usize], s) + flip_delta(counts[b as usize], s));
                     if best.map(|(bg, _)| gain > bg).unwrap_or(true) {
                         best = Some((gain, i));
                     }
                 }
             }
             let Some((gain, i)) = best else { break };
-            // Apply tentatively.
+            // Apply tentatively, updating `a` before `b`.
             let s = side[i] as usize;
-            let (a, b) = g.edge(edges[i]).endpoints();
-            counts.apply_flip(a, s);
-            counts.apply_flip(b, s);
+            for n in lg.ends[i] {
+                let c = &mut counts[n as usize];
+                c[s] -= 1;
+                c[1 - s] += 1;
+                if is_border(*c) {
+                    border.insert(lg.global[n as usize], n);
+                } else {
+                    border.remove(&lg.global[n as usize]);
+                }
+            }
             side[i] = !side[i];
             side_sizes[s] -= 1;
             side_sizes[1 - s] += 1;
@@ -292,7 +391,10 @@ fn kl_refine(g: &RoadNetwork, edges: &[EdgeId], side: &mut [bool], opts: &Partit
 
 /// Number of nodes incident to edges on both sides — the KL objective.
 pub fn internal_border_count(g: &RoadNetwork, edges: &[EdgeId], side: &[bool]) -> usize {
-    SideCounts::build(g, edges, side).border_count()
+    let lg = LocalGraph::new(g, edges);
+    let mut counts = Vec::new();
+    lg.fill_counts(side, &mut counts);
+    counts.into_iter().filter(|&c| is_border(c)).count()
 }
 
 #[cfg(test)]
@@ -377,6 +479,75 @@ mod tests {
         let empty: Vec<EdgeId> = Vec::new();
         let parts = partition_edges(&g, &empty, 2, &PartitionOptions::default());
         assert!(parts.is_empty());
+    }
+
+    fn bits(side: &[bool]) -> String {
+        side.iter().map(|&s| if s { '1' } else { '0' }).collect()
+    }
+
+    /// Pins `bisect` side vectors (`1` = right half) and `partition_edges`
+    /// outputs on shapes that exercise the KL edge cases: a chain, parallel
+    /// edges, random worlds where KL moves edges off the geometric cut, and
+    /// the group sizes 1–4 (below 4 KL is skipped; a group of at most one
+    /// edge leaves its right part empty). A change here is a change of
+    /// partition, not of speed.
+    #[test]
+    fn kl_edge_cases_are_pinned() {
+        let opts = PartitionOptions::default();
+        let g = simple::chain(16, 1.0);
+        assert_eq!(bits(&bisect(&g, &all_edges(&g), &opts)), "000000011111111");
+
+        let g = grid_with_parallel_edges();
+        let edges = all_edges(&g);
+        assert_eq!(bits(&bisect(&g, &edges, &opts)), "000000111111000000111111000000111111000111");
+        assert_eq!(
+            partition_edges(&g, &edges, 4, &opts),
+            [
+                0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0, 1, 1, 2, 2, 2, 2, 3, 3, 1, 1, 1, 1,
+                1, 1, 3, 3, 3, 3, 3, 3, 1, 1, 1, 3, 3, 3
+            ]
+        );
+
+        let g = simple::random_connected(60, 20, 1);
+        assert_eq!(
+            bits(&bisect(&g, &all_edges(&g), &opts)),
+            "0010000110110111110011101010010110110010000000001111000111100110001101111010110"
+        );
+        let g = simple::random_connected(40, 12, 7);
+        assert_eq!(
+            bits(&bisect(&g, &all_edges(&g), &opts)),
+            "111100011101001010111110110110011100101111011100010"
+        );
+
+        let g = simple::grid(3, 3, 1.0);
+        let edges = all_edges(&g);
+        let want: [(&str, &[u16]); 4] =
+            [("1", &[0]), ("10", &[2, 0]), ("101", &[2, 0, 3]), ("0011", &[1, 0, 3, 2])];
+        for (k, (side, parts)) in want.into_iter().enumerate() {
+            let group = &edges[..=k];
+            assert_eq!(bits(&bisect(&g, group, &opts)), side, "group of {}", k + 1);
+            assert_eq!(partition_edges(&g, group, 4, &opts), parts, "group of {}", k + 1);
+        }
+    }
+
+    /// A 5x4 grid whose every third edge is doubled by a parallel edge.
+    fn grid_with_parallel_edges() -> RoadNetwork {
+        use crate::geometry::Point;
+        use crate::graph::NetworkBuilder;
+        let base = simple::grid(5, 4, 1.0);
+        let mut b = NetworkBuilder::with_capacity(base.num_nodes(), 2 * base.num_edges());
+        for n in base.node_ids() {
+            let p = base.coord(n);
+            b.add_node(Point::new(p.x, p.y));
+        }
+        for (i, e) in base.edge_ids().enumerate() {
+            let (a, c) = base.edge(e).endpoints();
+            b.add_edge(a, c, 1.0).unwrap();
+            if i % 3 == 0 {
+                b.add_edge(c, a, 2.0).unwrap();
+            }
+        }
+        b.build()
     }
 
     #[test]
