@@ -55,7 +55,7 @@ pub fn check(files: &[FileData], cg: &CallGraph) -> Vec<Finding> {
                 && toks.get(i + 1).is_some_and(|t| t.ident() == Some("_"))
                 && toks.get(i + 2).is_some_and(|t| t.is_punct('='))
             {
-                let end = stmt_semi(toks, i + 3);
+                let end = syntax::stmt_semi(toks, i + 3);
                 // `let _ = fallible()?;` propagates before dropping `Ok`.
                 let propagates = (i + 3..end).any(|k| toks[k].is_punct('?'));
                 if !propagates {
@@ -113,24 +113,6 @@ pub fn check(files: &[FileData], cg: &CallGraph) -> Vec<Finding> {
         }
     }
     out
-}
-
-/// Index of the `;` ending the statement starting at `a` (depth-aware).
-fn stmt_semi(toks: &[Token], a: usize) -> usize {
-    let mut depth = 0i64;
-    for (j, t) in toks.iter().enumerate().skip(a) {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-            if depth < 0 {
-                return j;
-            }
-        } else if t.is_punct(';') && depth == 0 {
-            return j;
-        }
-    }
-    toks.len()
 }
 
 /// The first call in the region whose exact resolution says it returns

@@ -31,6 +31,11 @@
 //!     in thread-completion order ([`order`]).
 //!
 //! Rules 6–11 resolve calls across files and crates via [`callgraph`].
+//! Rules 6 and 9–11 are two instantiations of one dataflow engine,
+//! [`flow`]: one provenance lattice, one verdict table type, one
+//! interprocedural fixpoint solver and one statement walker, with
+//! [`dataflow`] and [`order`] supplying only their sources, sinks and
+//! sanitizers.
 //! The pass walks every `.rs` file of the workspace (skipping `target`,
 //! `vendor`, test trees, fixtures, dot-directories and anything listed in
 //! a root `roadlint.toml` `skip = […]` entry) and exits non-zero on any
@@ -40,6 +45,7 @@
 pub mod callgraph;
 pub mod dataflow;
 pub mod discard;
+pub mod flow;
 pub mod json;
 pub mod lexer;
 pub mod lockgraph;
@@ -102,11 +108,11 @@ pub struct Analysis {
     pub graph: lockgraph::LockGraph,
     /// The taint verdict table: every sanitized flow that reached a sink
     /// (for `--taint`).
-    pub taint: Vec<dataflow::TaintVerdict>,
+    pub taint: Vec<flow::Verdict>,
     /// The order verdict table: every sanitized unordered flow that
     /// reached a byte-output or commit sink, plus the clean fan-out
     /// shapes (for `--order` / `--order-dag`).
-    pub order: Vec<order::OrderVerdict>,
+    pub order: Vec<flow::Verdict>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }

@@ -26,6 +26,10 @@
 //!   joined in spawn order, never consumed in thread-completion order
 //!   (`.recv()` loops, `Mutex<Vec>::push`).
 //!
+//! This is the order instantiation of the shared dataflow engine
+//! ([`crate::flow`]): its lattice reads `Bad` as *hash-unordered*,
+//! `Fixed` as *sorted* and `Clean` as *ordered*.
+//!
 //! **Interprocedural**: per-function summaries — return-order provenance,
 //! whether the function (transitively) emits bytes, and parameters whose
 //! iteration order reaches a sink — are computed to a fixpoint over the
@@ -50,10 +54,12 @@
 //! cross-crate `-> FastMap<…>` callee).
 
 use crate::callgraph::{self, CallGraph, FnId};
+use crate::flow::{self, Emit, FnCx, Rule, Val, Verdict, Walk};
 use crate::lexer::Token;
-use crate::syntax;
+use crate::markers::Markers;
+use crate::syntax::{self, method_after};
 use crate::{FileData, Finding};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Hash-ordered container types: iterating one yields an unordered
 /// stream.
@@ -123,54 +129,38 @@ const UNORDERED_CTORS: &[&str] = &["fast_map_with_capacity", "fast_set_with_capa
 /// Accumulator types whose `+=` is float addition.
 const FLOAT_TYPES: &[&str] = &["f64", "f32", "Weight"];
 
-/// Order provenance of one value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum OVal {
-    /// Deterministic order (or not an iteration-ordered value at all).
-    Ordered,
-    /// Hash-unordered origin whose order was fixed: `(origin, sanitizer)`.
-    Sorted(String, String),
-    /// Order inherited from parameter `i` of the enclosing fn.
-    Param(usize),
-    /// Hash-unordered, with the origin description.
-    Unordered(String),
-}
+/// How a hash-ordered flow into byte output or a commit is reported.
+const UNORDERED_ITER: Rule = Rule {
+    name: "unordered-iter",
+    escape: Markers::ordered_reason_near,
+    message: |o, desc| {
+        format!(
+            "hash-ordered iteration from {o} reaches {desc}; sort the domain \
+             first, rebind through a BTreeMap, or mark \
+             `// roadlint: ordered reason=\"…\"`"
+        )
+    },
+};
 
-impl OVal {
-    fn rank(&self) -> u8 {
-        match self {
-            OVal::Ordered => 0,
-            OVal::Sorted(..) => 1,
-            OVal::Param(_) => 2,
-            OVal::Unordered(_) => 3,
-        }
-    }
-
-    /// Worst-wins merge; ties keep the first operand (scan order is
-    /// deterministic, so summaries converge).
-    fn merge(a: OVal, b: OVal) -> OVal {
-        if b.rank() > a.rank() {
-            b
-        } else {
-            a
-        }
-    }
-}
-
-/// Return-order provenance of a function.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-enum ORet {
-    #[default]
-    Ordered,
-    FromParam(usize),
-    Sorted(String, String),
-    Unordered(String),
-}
+/// How a float reduction over a hash-ordered domain is reported.
+const FLOAT_ORDER: Rule = Rule {
+    name: "float-order",
+    escape: Markers::ordered_reason_near,
+    message: |o, desc| {
+        format!(
+            "float reduction over the hash-ordered domain {o}: {desc}; \
+             reassociation breaks byte-identical builds — sort the domain, \
+             use integer/total_cmp reductions, or mark \
+             `// roadlint: ordered reason=\"…\"`"
+        )
+    },
+};
 
 /// The interprocedural summary of one function.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OrderSummary {
-    ret: ORet,
+    /// Return-order provenance (`Param(i)`: inherited from parameter `i`).
+    ret: Val,
     /// Calling this fn produces externally visible byte output or an
     /// order-sensitive commit — calls to it inside a loop make the
     /// loop's iteration order observable.
@@ -178,20 +168,6 @@ pub struct OrderSummary {
     /// Parameters whose iteration order reaches a sink inside this fn
     /// (or transitively), with the sink's description.
     param_sinks: BTreeSet<(usize, String)>,
-}
-
-/// One row of the order verdict table.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct OrderVerdict {
-    pub source: String,
-    pub sanitizer: String,
-    pub sink: String,
-}
-
-#[derive(Default)]
-struct Emit {
-    findings: BTreeSet<Finding>,
-    verdicts: BTreeSet<OrderVerdict>,
 }
 
 /// How a type chain iterates.
@@ -235,41 +211,14 @@ fn classify(chain: &[String]) -> Shape {
 }
 
 /// Runs the determinism pass over the workspace.
-pub fn check(files: &[FileData], cg: &CallGraph) -> (Vec<Finding>, Vec<OrderVerdict>) {
-    let mut sums: Vec<OrderSummary> = vec![OrderSummary::default(); cg.fns.len()];
-    for _ in 0..12 {
-        let mut changed = false;
-        for id in 0..cg.fns.len() {
-            if cg.fns[id].in_test_mod || cg.fns[id].body.is_none() {
-                continue;
-            }
-            let s = FnCx::new(files, cg, id, &sums, None).run();
-            if s != sums[id] {
-                sums[id] = s;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut emit = Emit::default();
-    for id in 0..cg.fns.len() {
-        if cg.fns[id].in_test_mod || cg.fns[id].body.is_none() {
-            continue;
-        }
-        FnCx::new(files, cg, id, &sums, Some(&mut emit)).run();
-        sched_check(files, cg, id, &mut emit);
-    }
-    (emit.findings.into_iter().collect(), emit.verdicts.into_iter().collect())
+pub fn check(files: &[FileData], cg: &CallGraph) -> (Vec<Finding>, Vec<Verdict>) {
+    flow::solve(files, cg, |cx, sums| Order::new(cx, sums).run())
 }
 
-/// The per-function order-dataflow engine.
-struct FnCx<'a> {
-    cg: &'a CallGraph,
+/// The order half of one function's walk.
+struct Order<'a> {
+    cx: FnCx<'a>,
     sums: &'a [OrderSummary],
-    me: FnId,
-    fd: &'a FileData,
     /// Locals that *are* unordered containers (iterating them is the
     /// source event; using them by key is not).
     map_vars: BTreeSet<String>,
@@ -278,276 +227,55 @@ struct FnCx<'a> {
     seq_vars: BTreeSet<String>,
     /// Float accumulators (by ascription).
     float_vars: BTreeSet<String>,
-    /// Order provenance of iteration-derived locals.
-    vars: BTreeMap<String, OVal>,
     /// Open unordered-loop contexts as `(body_close, origin)`: pushes
     /// into a `Vec` inside such a loop order it by the loop's domain.
     loop_ctx: Vec<(usize, String)>,
-    ret: OVal,
     emits: bool,
-    param_sinks: BTreeSet<(usize, String)>,
-    emit: Option<&'a mut Emit>,
 }
 
-impl<'a> FnCx<'a> {
-    fn new(
-        files: &'a [FileData],
-        cg: &'a CallGraph,
-        me: FnId,
-        sums: &'a [OrderSummary],
-        emit: Option<&'a mut Emit>,
-    ) -> FnCx<'a> {
-        let info = &cg.fns[me];
-        let mut cx = FnCx {
-            cg,
+impl<'a> Order<'a> {
+    fn new(cx: FnCx<'a>, sums: &'a [OrderSummary]) -> Order<'a> {
+        let cg = cx.cg;
+        let info = &cg.fns[cx.me];
+        let mut o = Order {
+            cx,
             sums,
-            me,
-            fd: &files[info.file_idx],
             map_vars: BTreeSet::new(),
             seq_vars: BTreeSet::new(),
             float_vars: BTreeSet::new(),
-            vars: BTreeMap::new(),
             loop_ctx: Vec::new(),
-            ret: OVal::Ordered,
             emits: info.order_sink,
-            param_sinks: BTreeSet::new(),
-            emit,
         };
         for (i, p) in info.params.iter().enumerate() {
             let chain = info.param_chains.get(i).map(Vec::as_slice).unwrap_or(&[]);
             match classify(chain) {
                 Shape::Map => {
-                    cx.map_vars.insert(p.clone());
+                    o.map_vars.insert(p.clone());
                 }
                 Shape::SeqOfMaps => {
-                    cx.seq_vars.insert(p.clone());
+                    o.seq_vars.insert(p.clone());
                 }
                 // Slices, vecs, iterators: order inherited from the
                 // caller.
                 _ => {
-                    cx.vars.insert(p.clone(), OVal::Param(i));
+                    o.cx.vars.insert(p.clone(), Val::Param(i));
                 }
             }
             if chain.iter().any(|id| FLOAT_TYPES.contains(&id.as_str())) {
-                cx.float_vars.insert(p.clone());
+                o.float_vars.insert(p.clone());
             }
         }
-        cx
+        o
     }
 
-    fn toks(&self) -> &'a [Token] {
-        &self.fd.lexed.tokens
-    }
-
+    /// Walks the body; the emitting pass also checks rule 11.
     fn run(mut self) -> OrderSummary {
-        if let Some((bs, be)) = self.cg.fns[self.me].body {
-            self.stmts(bs + 1, be);
+        flow::walk_body(&mut self);
+        let cx = &mut self.cx;
+        if let Some(e) = cx.emit.as_deref_mut() {
+            sched_check(cx.fd, cx.cg, cx.me, e);
         }
-        let ret = match self.ret {
-            OVal::Ordered => ORet::Ordered,
-            OVal::Param(p) => ORet::FromParam(p),
-            OVal::Sorted(o, s) => ORet::Sorted(o, s),
-            OVal::Unordered(o) => ORet::Unordered(o),
-        };
-        OrderSummary { ret, emits: self.emits, param_sinks: self.param_sinks }
-    }
-
-    /// Statement-by-statement scan of a block region.
-    fn stmts(&mut self, a: usize, b: usize) {
-        let mut i = a;
-        while i < b {
-            let t = &self.toks()[i];
-            if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') || t.is_punct(',') {
-                i += 1;
-                continue;
-            }
-            match t.ident() {
-                Some("let") => i = self.handle_let(i, b),
-                Some("for") => i = self.handle_for(i, b),
-                Some("if") => i = self.handle_if(i, b),
-                Some("while") | Some("match") => {
-                    let open = self.find_block_open(i + 1, b);
-                    self.eval(i + 1, open);
-                    i = open + 1;
-                }
-                Some("return") => {
-                    let (end, _) = self.stmt_limit(i + 1, b);
-                    let v = self.eval(i + 1, end);
-                    self.ret = OVal::merge(self.ret.clone(), v);
-                    i = end + 1;
-                }
-                Some("else") | Some("loop") | Some("unsafe") => i += 1,
-                _ => {
-                    let (end, closed) = self.stmt_limit(i, b);
-                    let v = self.handle_expr_stmt(i, end);
-                    if closed {
-                        // Block-final expression: a (possible) tail value.
-                        self.ret = OVal::merge(self.ret.clone(), v);
-                    }
-                    i = end + 1;
-                }
-            }
-        }
-    }
-
-    /// End of the statement starting at `a` (same shape as the taint
-    /// pass): the depth-0 `;` or match-arm `,`, or the enclosing `}`.
-    fn stmt_limit(&self, a: usize, b: usize) -> (usize, bool) {
-        let mut depth = 0i64;
-        let mut j = a;
-        while j < b {
-            let t = &self.toks()[j];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-                if depth < 0 {
-                    return (j, true);
-                }
-            } else if t.is_punct(';') && depth == 0 {
-                return (j, false);
-            } else if t.is_punct(',') && depth == 0 {
-                return (j, true);
-            }
-            j += 1;
-        }
-        (b, true)
-    }
-
-    /// The `{` opening the body of an `if`/`for`/`while`/`match` whose
-    /// header starts at `a`.
-    fn find_block_open(&self, a: usize, b: usize) -> usize {
-        let mut depth = 0i64;
-        let mut j = a;
-        while j < b {
-            let t = &self.toks()[j];
-            if t.is_punct('{') {
-                if depth == 0 {
-                    return j;
-                }
-                depth += 1;
-            } else if t.is_punct('(') || t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-            }
-            j += 1;
-        }
-        b
-    }
-
-    /// Binder identifiers of a pattern region.
-    fn pattern_binders(&self, a: usize, b: usize) -> Vec<String> {
-        let mut out = Vec::new();
-        for k in a..b {
-            if let Some(id) = self.toks()[k].ident() {
-                if !matches!(id, "mut" | "ref" | "box" | "self" | "_")
-                    && id.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
-                {
-                    out.push(id.to_owned());
-                }
-            }
-        }
-        out
-    }
-
-    fn handle_let(&mut self, i: usize, b: usize) -> usize {
-        let mut depth = 0i64;
-        let mut j = i + 1;
-        let mut pattern_end = None;
-        let mut eq = None;
-        while j < b {
-            let t = &self.toks()[j];
-            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-                depth -= 1;
-                if depth < 0 {
-                    break;
-                }
-            } else if depth == 0 {
-                if t.is_punct(';') {
-                    // `let x;` — uninitialized.
-                    for bnd in self.pattern_binders(i + 1, j) {
-                        self.vars.insert(bnd, OVal::Ordered);
-                    }
-                    return j + 1;
-                }
-                if t.is_punct(':')
-                    && !self.toks().get(j + 1).is_some_and(|n| n.is_punct(':'))
-                    && !(j > 0 && self.toks()[j - 1].is_punct(':'))
-                {
-                    pattern_end.get_or_insert(j);
-                }
-                if t.is_punct('=')
-                    && !self.toks().get(j + 1).is_some_and(|n| n.is_punct('=') || n.is_punct('>'))
-                {
-                    // After an ascription, a preceding `>` closes its
-                    // generic (`let m: FastMap<u32, u32> = …`), not a
-                    // `>=` comparison.
-                    let generic_close =
-                        pattern_end.is_some() && j > 0 && self.toks()[j - 1].is_punct('>');
-                    if generic_close || !(j > 0 && is_cmp_prefix(&self.toks()[j - 1])) {
-                        eq = Some(j);
-                        break;
-                    }
-                }
-            }
-            j += 1;
-        }
-        let Some(eq) = eq else {
-            return j + 1;
-        };
-        let binders = self.pattern_binders(i + 1, pattern_end.unwrap_or(eq));
-        let (end, _) = self.stmt_limit(eq + 1, b);
-        let v = self.eval(eq + 1, end);
-        // The ascription decides the binding when it names a container.
-        let chain =
-            pattern_end.map(|pe| ascription_chain(self.toks(), pe + 1, eq)).unwrap_or_default();
-        if chain.iter().any(|id| FLOAT_TYPES.contains(&id.as_str())) {
-            for bnd in &binders {
-                self.float_vars.insert(bnd.clone());
-            }
-        }
-        match classify(&chain) {
-            Shape::Map => {
-                for bnd in binders {
-                    self.map_vars.insert(bnd);
-                }
-                return end + 1;
-            }
-            Shape::SeqOfMaps => {
-                for bnd in binders {
-                    self.seq_vars.insert(bnd);
-                }
-                return end + 1;
-            }
-            Shape::BTree => {
-                // A BTree rebind of an unordered stream is sorted.
-                let nv = match v {
-                    OVal::Unordered(o) => OVal::Sorted(o, "BTreeMap rebind".to_owned()),
-                    other => other,
-                };
-                for bnd in binders {
-                    self.vars.insert(bnd, nv.clone());
-                }
-                return end + 1;
-            }
-            Shape::Other => {}
-        }
-        // No deciding ascription: type the binding from the RHS — a
-        // known constructor, a map-var alias, or a callee whose return
-        // type is an unordered container.
-        if self.rhs_is_map(eq + 1, end) {
-            for bnd in binders {
-                self.map_vars.insert(bnd);
-            }
-            return end + 1;
-        }
-        for bnd in binders {
-            self.vars.insert(bnd, v.clone());
-        }
-        end + 1
+        OrderSummary { ret: self.cx.ret, emits: self.emits, param_sinks: self.cx.param_sinks }
     }
 
     /// True when the let-RHS region evidently produces an unordered
@@ -555,7 +283,7 @@ impl<'a> FnCx<'a> {
     /// `.clone()` of a map var, or a call resolving (over-approximately,
     /// for typing only) to fns that all return an unordered container.
     fn rhs_is_map(&self, a: usize, b: usize) -> bool {
-        let toks = self.toks();
+        let toks = self.cx.toks();
         let mut j = a;
         while j < b && (toks[j].is_punct('&') || toks[j].ident() == Some("mut")) {
             j += 1;
@@ -585,9 +313,9 @@ impl<'a> FnCx<'a> {
                 }
             }
             if let Some(site) = callgraph::call_at(toks, k) {
-                let callees = self.cg.resolve(self.me, &site);
+                let callees = self.cx.cg.resolve(self.cx.me, &site);
                 if !callees.is_empty()
-                    && callees.iter().all(|&c| classify(&self.cg.fns[c].ret_chain) == Shape::Map)
+                    && callees.iter().all(|&c| classify(&self.cx.cg.fns[c].ret_chain) == Shape::Map)
                 {
                     return true;
                 }
@@ -596,49 +324,11 @@ impl<'a> FnCx<'a> {
         false
     }
 
-    fn handle_for(&mut self, i: usize, b: usize) -> usize {
-        let mut j = i + 1;
-        while j < b && self.toks()[j].ident() != Some("in") && !self.toks()[j].is_punct('{') {
-            j += 1;
-        }
-        let binders = self.pattern_binders(i + 1, j);
-        let start = j + 1;
-        let open = self.find_block_open(start, b);
-        let close = syntax::match_delim(self.toks(), open);
-        let line = self.toks()[i].line;
-        let (v, elem_is_map) = self.domain(start, open);
-        if elem_is_map {
-            for bnd in binders {
-                self.map_vars.insert(bnd);
-            }
-        } else {
-            for bnd in binders {
-                self.vars.insert(bnd, OVal::Ordered);
-            }
-        }
-        // Scan the loop body for order-observable events before the
-        // statements inside are walked individually.
-        let emission = self.body_emission(open, close);
-        let floats = self.body_float_events(open, close);
-        if let Some(sink) = emission {
-            self.order_sink_event(v.clone(), sink, line);
-        }
-        for (desc, fline) in floats {
-            self.float_event(v.clone(), desc, fline);
-        }
-        if let OVal::Unordered(o) = &v {
-            // Pushes into locals inside this body inherit the domain's
-            // unorderedness.
-            self.loop_ctx.push((close, o.clone()));
-        }
-        open + 1
-    }
-
     /// Evaluates a `for`-loop domain region. Returns the domain's order
     /// provenance plus whether the loop *binder* is itself an unordered
     /// container (iterating a `Vec<FastMap<…>>`).
-    fn domain(&mut self, a: usize, open: usize) -> (OVal, bool) {
-        let toks = self.toks();
+    fn domain(&mut self, a: usize, open: usize) -> (Val, bool) {
+        let toks = self.cx.toks();
         let mut j = a;
         while j < open && (toks[j].is_punct('&') || toks[j].ident() == Some("mut")) {
             j += 1;
@@ -649,14 +339,14 @@ impl<'a> FnCx<'a> {
             Shape::Map => {
                 if base_end >= open {
                     // `for (k, v) in &map` — direct unordered iteration.
-                    return (OVal::Unordered(origin), false);
+                    return (Val::Bad(origin), false);
                 }
                 // `for k in map.keys().…` — source plus adapter chain.
-                if let Some((m, margs)) = method_after_gap(toks, base_end - 1) {
+                if let Some((m, margs)) = method_after(toks, base_end - 1) {
                     if ITER_SOURCES.contains(&m) {
                         let mclose = syntax::match_delim(toks, margs);
                         let origin = origin.replacen(" in ", &format!(".{m}() in "), 1);
-                        let v = self.chain(OVal::Unordered(origin), mclose + 1, open);
+                        let v = self.chain(Val::Bad(origin), mclose + 1, open);
                         return (v, false);
                     }
                 }
@@ -666,7 +356,7 @@ impl<'a> FnCx<'a> {
                 // `for map in &self.per_rnet` (or `.iter()` on it): the
                 // sequence iterates deterministically, the binder is an
                 // unordered container.
-                return (OVal::Ordered, true);
+                return (Val::Clean, true);
             }
             _ => {}
         }
@@ -677,7 +367,7 @@ impl<'a> FnCx<'a> {
     /// consumed through, origin description)`. `Shape::Other` with
     /// `base_end == j` means "no typed base here".
     fn base_at(&self, j: usize) -> (Shape, usize, String) {
-        let toks = self.toks();
+        let toks = self.cx.toks();
         let line = toks.get(j).map_or(0, |t| t.line);
         if let Some(name) = toks.get(j).and_then(|t| t.ident()) {
             if name == "self"
@@ -685,17 +375,17 @@ impl<'a> FnCx<'a> {
                 && toks.get(j + 2).is_some_and(|t| t.ident().is_some())
             {
                 let field = toks[j + 2].ident().unwrap_or_default();
-                let chain = self.cg.fns[self.me]
+                let chain = self.cx.cg.fns[self.cx.me]
                     .self_type
                     .as_deref()
-                    .and_then(|t| self.cg.field_chain(t, field))
+                    .and_then(|t| self.cx.cg.field_chain(t, field))
                     .unwrap_or(&[]);
                 let shape = classify(chain);
                 let origin = format!(
                     "self.{field} ({}) in {} ({}:{line})",
                     chain.first().map(String::as_str).unwrap_or("?"),
-                    self.cg.qualified(self.me),
-                    self.fd.path,
+                    self.cx.cg.qualified(self.cx.me),
+                    self.cx.fd.path,
                 );
                 return (shape, j + 3, origin);
             }
@@ -704,8 +394,8 @@ impl<'a> FnCx<'a> {
                 if self.map_vars.contains(name) {
                     let origin = format!(
                         "`{name}` in {} ({}:{line})",
-                        self.cg.qualified(self.me),
-                        self.fd.path
+                        self.cx.cg.qualified(self.cx.me),
+                        self.cx.fd.path
                     );
                     return (Shape::Map, j + 1, origin);
                 }
@@ -717,139 +407,12 @@ impl<'a> FnCx<'a> {
         (Shape::Other, j, String::new())
     }
 
-    fn handle_if(&mut self, i: usize, b: usize) -> usize {
-        if self.toks().get(i + 1).is_some_and(|t| t.ident() == Some("let")) {
-            let open = self.find_block_open(i + 2, b);
-            let eq = (i + 2..open).find(|&k| {
-                self.toks()[k].is_punct('=')
-                    && !self.toks().get(k + 1).is_some_and(|n| n.is_punct('=') || n.is_punct('>'))
-                    && !is_cmp_prefix(&self.toks()[k - 1])
-            });
-            if let Some(eq) = eq {
-                let binders = self.pattern_binders(i + 2, eq);
-                let v = self.eval(eq + 1, open);
-                for bnd in binders {
-                    self.vars.insert(bnd, v.clone());
-                }
-            }
-            return open + 1;
-        }
-        let open = self.find_block_open(i + 1, b);
-        self.eval(i + 1, open);
-        open + 1
-    }
-
-    /// Expression statement: assignment tracking, else plain eval.
-    fn handle_expr_stmt(&mut self, a: usize, b: usize) -> OVal {
-        let toks = self.toks();
-        let mut k = a;
-        while k < b && toks[k].is_punct('*') {
-            k += 1;
-        }
-        if let Some(name) = toks.get(k).and_then(|t| t.ident()) {
-            let plain = toks.get(k + 1).is_some_and(|t| t.is_punct('='))
-                && !toks.get(k + 2).is_some_and(|t| t.is_punct('=') || t.is_punct('>'));
-            let compound = toks.get(k + 1).is_some_and(
-                |t| matches!(&t.tok, crate::lexer::Tok::Punct(c) if "+-*/%&|^".contains(*c)),
-            ) && toks.get(k + 2).is_some_and(|t| t.is_punct('='));
-            if plain || compound {
-                let eq = if plain { k + 1 } else { k + 2 };
-                let v = self.eval(eq + 1, b);
-                let name = name.to_owned();
-                if self.rhs_is_map(eq + 1, b) {
-                    self.map_vars.insert(name);
-                    return OVal::Ordered;
-                }
-                let old = self.vars.get(&name).cloned().unwrap_or(OVal::Ordered);
-                let nv = if compound { OVal::merge(old, v) } else { v };
-                self.vars.insert(name, nv);
-                return OVal::Ordered;
-            }
-        }
-        self.eval(a, b)
-    }
-
-    /// The expression walker: merges order-provenance contributions,
-    /// resolves calls against summaries, and fires sinks.
-    fn eval(&mut self, a: usize, b: usize) -> OVal {
-        let mut val = OVal::Ordered;
-        let mut j = a;
-        while j < b {
-            let t = &self.toks()[j];
-            // An unordered-container iteration source: `map.keys()…`,
-            // `self.objects.values()…`.
-            if let Some((origin, after)) = self.map_iter_at(j, b) {
-                let v = self.chain(OVal::Unordered(origin), after, b);
-                val = OVal::merge(val, v);
-                j = after;
-                continue;
-            }
-            if let Some(site) = callgraph::call_at(self.toks(), j) {
-                let close = syntax::match_delim(self.toks(), site.args_open);
-                if close < b {
-                    let (c, skip) = self.eval_call(&site, close);
-                    val = OVal::merge(val, c);
-                    j = if skip { close + 1 } else { site.args_open + 1 };
-                    continue;
-                }
-            }
-            if let Some(name) = t.ident() {
-                let is_field = j > 0
-                    && self.toks()[j - 1].is_punct('.')
-                    && !(j >= 2 && self.toks()[j - 2].is_punct('.'));
-                if !is_field {
-                    if let Some(v) = self.vars.get(name).cloned() {
-                        if let Some((m, margs)) = method_after_gap(self.toks(), j) {
-                            if SORTS.contains(&m) {
-                                // `v.sort_unstable()` fixes the order.
-                                let nv = match v {
-                                    OVal::Unordered(o) => OVal::Sorted(o, format!("{m}()")),
-                                    // A sorted Param domain is
-                                    // deterministic regardless of the
-                                    // caller's ordering.
-                                    OVal::Param(_) => OVal::Ordered,
-                                    other => other,
-                                };
-                                self.vars.insert(name.to_owned(), nv);
-                                let mclose = syntax::match_delim(self.toks(), margs);
-                                j = mclose + 1;
-                                continue;
-                            }
-                            if SEQ_MUTATORS.contains(&m) {
-                                // Inside an unordered loop, `out.push(x)`
-                                // orders `out` by the loop's domain.
-                                if let Some(origin) = self.loop_origin(j) {
-                                    let nv =
-                                        OVal::merge(v.clone(), OVal::Unordered(origin.clone()));
-                                    self.vars.insert(name.to_owned(), nv);
-                                }
-                                // And pushing an unordered stream into a
-                                // sequence makes the sequence unordered.
-                                let mclose = syntax::match_delim(self.toks(), margs);
-                                if mclose < b {
-                                    let av = self.eval(margs + 1, mclose);
-                                    let cur = self.vars.get(name).cloned().unwrap_or(OVal::Ordered);
-                                    self.vars.insert(name.to_owned(), OVal::merge(cur, av));
-                                    j = mclose + 1;
-                                    continue;
-                                }
-                            }
-                        }
-                        val = OVal::merge(val, v);
-                    }
-                }
-            }
-            j += 1;
-        }
-        val
-    }
-
     /// Recognizes an iteration source rooted at a typed unordered
     /// container at token `j`: `map.keys(`, `self.field.iter(`,
     /// `map.drain(`. Returns `(origin, index after the source call's
     /// close paren)`.
     fn map_iter_at(&self, j: usize, b: usize) -> Option<(String, usize)> {
-        let toks = self.toks();
+        let toks = self.cx.toks();
         if j > 0 && toks[j - 1].is_punct('.') {
             return None;
         }
@@ -857,7 +420,7 @@ impl<'a> FnCx<'a> {
         if shape != Shape::Map || base_end >= b {
             return None;
         }
-        let (m, margs) = method_after_gap(toks, base_end - 1)?;
+        let (m, margs) = method_after(toks, base_end - 1)?;
         if !ITER_SOURCES.contains(&m) {
             return None;
         }
@@ -873,8 +436,8 @@ impl<'a> FnCx<'a> {
     /// stream's order evolves: adapters preserve it, sorts and BTree
     /// collects fix it, clean reducers terminate it, float reductions
     /// fire rule 10.
-    fn chain(&mut self, mut cur: OVal, mut k: usize, b: usize) -> OVal {
-        let toks = self.toks();
+    fn chain(&mut self, mut cur: Val, mut k: usize, b: usize) -> Val {
+        let toks = self.cx.toks();
         while k + 1 < b && toks[k].is_punct('.') {
             let Some(m) = toks[k + 1].ident() else { break };
             let line = toks[k + 1].line;
@@ -911,47 +474,47 @@ impl<'a> FnCx<'a> {
             }
             let args_have = |needle: &str| (p..argclose).any(|q| toks[q].ident() == Some(needle));
             if SORTS.contains(&m) {
-                if let OVal::Unordered(o) = cur {
-                    cur = OVal::Sorted(o, format!("{m}()"));
+                if let Val::Bad(o) = cur {
+                    cur = Val::Fixed(o, format!("{m}()"));
                 }
             } else if m == "collect"
                 && turbofish.iter().any(|id| id == "BTreeMap" || id == "BTreeSet")
             {
-                if let OVal::Unordered(o) = cur {
-                    cur = OVal::Sorted(o, "BTreeMap rebind".to_owned());
+                if let Val::Bad(o) = cur {
+                    cur = Val::Fixed(o, "BTreeMap rebind".to_owned());
                 }
             } else if m == "sum" && turbofish.iter().any(|id| FLOAT_TYPES.contains(&id.as_str())) {
                 self.float_event(
                     cur.clone(),
                     format!(
                         "float `.sum()` at {}:{line} in {}",
-                        self.fd.path,
-                        self.cg.qualified(self.me)
+                        self.cx.fd.path,
+                        self.cx.cg.qualified(self.cx.me)
                     ),
                     line,
                 );
-                cur = OVal::Ordered;
+                cur = Val::Clean;
             } else if matches!(m, "min_by" | "max_by" | "min_by_key" | "max_by_key") {
                 if args_have("total_cmp") {
                     // The sanctioned deterministic tie-break.
-                    if let OVal::Unordered(o) = cur {
-                        cur = OVal::Sorted(o, "total_cmp tie-break".to_owned());
+                    if let Val::Bad(o) = cur {
+                        cur = Val::Fixed(o, "total_cmp tie-break".to_owned());
                     }
                 } else if args_have("partial_cmp") {
                     self.float_event(
                         cur.clone(),
                         format!(
                             "float `.{m}(partial_cmp)` at {}:{line} in {}",
-                            self.fd.path,
-                            self.cg.qualified(self.me)
+                            self.cx.fd.path,
+                            self.cx.cg.qualified(self.cx.me)
                         ),
                         line,
                     );
-                    cur = OVal::Ordered;
+                    cur = Val::Clean;
                 }
             } else if CLEAN_REDUCERS.contains(&m) {
                 // Order-insensitive terminal reduction.
-                cur = OVal::Ordered;
+                cur = Val::Clean;
             }
             // Everything else (map/filter/collect/copied/enumerate/…)
             // preserves the stream's order provenance.
@@ -962,51 +525,49 @@ impl<'a> FnCx<'a> {
 
     /// Applies a call's summaries: order-sink args, emitted-bytes
     /// propagation, return-order mapping, parameter sinks.
-    fn eval_call(&mut self, site: &callgraph::CallSite, close: usize) -> (OVal, bool) {
-        let toks = self.toks();
+    fn eval_call(&mut self, site: &callgraph::CallSite, close: usize) -> (Val, bool) {
+        let toks = self.cx.toks();
         if EMIT_PRIMS.contains(&site.name.as_str()) {
             self.emits = true;
             // Let the argument region be walked normally.
-            return (OVal::Ordered, false);
+            return (Val::Clean, false);
         }
-        let callees = self.cg.resolve_confident(self.me, site);
+        let callees = self.cx.cg.resolve_confident(self.cx.me, site);
         if callees.is_empty() {
-            return (OVal::Ordered, false);
+            return (Val::Clean, false);
         }
         let args = callgraph::split_args(toks, site.args_open, close);
-        if callees.iter().any(|&c| self.cg.fns[c].order_sink) {
+        if callees.iter().any(|&c| self.cx.cg.fns[c].order_sink) {
             self.emits = true;
-            let cid = callees.iter().copied().find(|&c| self.cg.fns[c].order_sink).unwrap_or(0);
+            let cid = callees.iter().copied().find(|&c| self.cx.cg.fns[c].order_sink).unwrap_or(0);
             for (i, &(x, y)) in args.iter().enumerate() {
                 let av = self.eval(x, y);
                 let desc = format!(
                     "order-sensitive commit {} (arg {}) at {}:{}",
-                    self.cg.qualified(cid),
+                    self.cx.cg.qualified(cid),
                     i + 1,
-                    self.fd.path,
+                    self.cx.fd.path,
                     site.line
                 );
-                self.order_sink_event(av, desc, site.line);
+                self.cx.reach(av, desc, site.line, &UNORDERED_ITER);
             }
-            return (OVal::Ordered, true);
+            return (Val::Clean, true);
         }
-        let arg_vals: Vec<OVal> = args.iter().map(|&(x, y)| self.eval(x, y)).collect();
-        let mut out = OVal::Ordered;
+        let arg_vals: Vec<Val> = args.iter().map(|&(x, y)| self.eval(x, y)).collect();
+        let mut out = Val::Clean;
         for &cid in &callees {
             let sum = self.sums[cid].clone();
             if sum.emits {
                 self.emits = true;
             }
             let rv = match sum.ret {
-                ORet::Ordered => OVal::Ordered,
-                ORet::Sorted(o, s) => OVal::Sorted(o, s),
-                ORet::Unordered(o) => OVal::Unordered(o),
-                ORet::FromParam(p) => arg_vals.get(p).cloned().unwrap_or(OVal::Ordered),
+                Val::Param(p) => arg_vals.get(p).cloned().unwrap_or(Val::Clean),
+                other => other,
             };
-            out = OVal::merge(out, rv);
+            out = Val::merge(out, rv);
             for (p, desc) in &sum.param_sinks {
                 if let Some(av) = arg_vals.get(*p) {
-                    self.order_sink_event(av.clone(), desc.clone(), site.line);
+                    self.cx.reach(av.clone(), desc.clone(), site.line, &UNORDERED_ITER);
                 }
             }
         }
@@ -1021,28 +582,28 @@ impl<'a> FnCx<'a> {
 
     /// The first byte-output event in a loop body, as a sink description.
     fn body_emission(&mut self, open: usize, close: usize) -> Option<String> {
-        let toks = self.toks();
+        let toks = self.cx.toks();
         for k in open..close {
             let Some(site) = callgraph::call_at(toks, k) else { continue };
             if EMIT_PRIMS.contains(&site.name.as_str()) {
                 return Some(format!(
                     "byte output (`{}`) at {}:{} in {}",
                     site.name,
-                    self.fd.path,
+                    self.cx.fd.path,
                     site.line,
-                    self.cg.qualified(self.me)
+                    self.cx.cg.qualified(self.cx.me)
                 ));
             }
-            let callees = self.cg.resolve_confident(self.me, &site);
+            let callees = self.cx.cg.resolve_confident(self.cx.me, &site);
             if let Some(&c) =
-                callees.iter().find(|&&c| self.cg.fns[c].order_sink || self.sums[c].emits)
+                callees.iter().find(|&&c| self.cx.cg.fns[c].order_sink || self.sums[c].emits)
             {
                 return Some(format!(
                     "order-observable call to {} at {}:{} in {}",
-                    self.cg.qualified(c),
-                    self.fd.path,
+                    self.cx.cg.qualified(c),
+                    self.cx.fd.path,
                     site.line,
-                    self.cg.qualified(self.me)
+                    self.cx.cg.qualified(self.cx.me)
                 ));
             }
         }
@@ -1054,7 +615,7 @@ impl<'a> FnCx<'a> {
     /// catches when the stream is inline, and this scan catches when the
     /// accumulation is written as loop statements).
     fn body_float_events(&self, open: usize, close: usize) -> Vec<(String, u32)> {
-        let toks = self.toks();
+        let toks = self.cx.toks();
         let mut out = Vec::new();
         for k in open..close {
             let Some(name) = toks[k].ident() else { continue };
@@ -1066,9 +627,9 @@ impl<'a> FnCx<'a> {
                     format!(
                         "float accumulation `{name} {}=` at {}:{} in {}",
                         if toks[k + 1].is_punct('+') { "+" } else { "*" },
-                        self.fd.path,
+                        self.cx.fd.path,
                         toks[k].line,
-                        self.cg.qualified(self.me)
+                        self.cx.cg.qualified(self.cx.me)
                     ),
                     toks[k].line,
                 ));
@@ -1077,91 +638,170 @@ impl<'a> FnCx<'a> {
         out
     }
 
-    /// An order-sensitive sink saw provenance `v`.
-    fn order_sink_event(&mut self, v: OVal, desc: String, line: u32) {
-        match v {
-            OVal::Ordered => {}
-            OVal::Param(p) => {
-                self.param_sinks.insert((p, desc));
+    /// A float accumulation saw domain provenance `v` (rule 10).
+    fn float_event(&mut self, v: Val, desc: String, line: u32) {
+        let desc = match v {
+            Val::Param(_) => format!("{desc} (float reduction)"),
+            _ => desc,
+        };
+        self.cx.reach(v, desc, line, &FLOAT_ORDER);
+    }
+}
+
+impl<'a> Walk<'a> for Order<'a> {
+    fn cx(&mut self) -> &mut FnCx<'a> {
+        &mut self.cx
+    }
+
+    /// The ascription decides the binding when it names a container;
+    /// otherwise the RHS types it, or it takes the RHS's order.
+    fn bind_let(
+        &mut self,
+        binders: Vec<String>,
+        ascription: Option<(usize, usize)>,
+        rhs: (usize, usize),
+        v: Val,
+    ) {
+        let chain =
+            ascription.map(|(a, b)| ascription_chain(self.cx.toks(), a, b)).unwrap_or_default();
+        if chain.iter().any(|id| FLOAT_TYPES.contains(&id.as_str())) {
+            self.float_vars.extend(binders.iter().cloned());
+        }
+        match classify(&chain) {
+            Shape::Map => self.map_vars.extend(binders),
+            Shape::SeqOfMaps => self.seq_vars.extend(binders),
+            Shape::BTree => {
+                // A BTree rebind of an unordered stream is sorted.
+                let nv = match v {
+                    Val::Bad(o) => Val::Fixed(o, "BTreeMap rebind".to_owned()),
+                    other => other,
+                };
+                self.cx.bind(binders, nv);
             }
-            OVal::Sorted(o, s) => {
-                if let Some(e) = self.emit.as_deref_mut() {
-                    e.verdicts.insert(OrderVerdict { source: o, sanitizer: s, sink: desc });
-                }
-            }
-            OVal::Unordered(o) => {
-                if let Some(reason) = self.fd.markers.ordered_reason_near(line) {
-                    let reason = reason.to_owned();
-                    if let Some(e) = self.emit.as_deref_mut() {
-                        e.verdicts.insert(OrderVerdict {
-                            source: o,
-                            sanitizer: format!("marker: {reason}"),
-                            sink: desc,
-                        });
-                    }
-                } else if let Some(e) = self.emit.as_deref_mut() {
-                    e.findings.insert(Finding {
-                        file: self.fd.path.clone(),
-                        line,
-                        rule: "unordered-iter",
-                        message: format!(
-                            "hash-ordered iteration from {o} reaches {desc}; sort the domain \
-                             first, rebind through a BTreeMap, or mark \
-                             `// roadlint: ordered reason=\"…\"`"
-                        ),
-                    });
-                }
-            }
+            // No deciding ascription: type the binding from the RHS — a
+            // known constructor, a map-var alias, or a callee whose
+            // return type is an unordered container.
+            Shape::Other if self.rhs_is_map(rhs.0, rhs.1) => self.map_vars.extend(binders),
+            Shape::Other => self.cx.bind(binders, v),
         }
     }
 
-    /// A float accumulation saw domain provenance `v` (rule 10).
-    fn float_event(&mut self, v: OVal, desc: String, line: u32) {
-        match v {
-            OVal::Ordered => {}
-            OVal::Param(p) => {
-                self.param_sinks.insert((p, format!("{desc} (float reduction)")));
-            }
-            OVal::Sorted(o, s) => {
-                if let Some(e) = self.emit.as_deref_mut() {
-                    e.verdicts.insert(OrderVerdict { source: o, sanitizer: s, sink: desc });
-                }
-            }
-            OVal::Unordered(o) => {
-                if let Some(reason) = self.fd.markers.ordered_reason_near(line) {
-                    let reason = reason.to_owned();
-                    if let Some(e) = self.emit.as_deref_mut() {
-                        e.verdicts.insert(OrderVerdict {
-                            source: o,
-                            sanitizer: format!("marker: {reason}"),
-                            sink: desc,
-                        });
-                    }
-                } else if let Some(e) = self.emit.as_deref_mut() {
-                    e.findings.insert(Finding {
-                        file: self.fd.path.clone(),
-                        line,
-                        rule: "float-order",
-                        message: format!(
-                            "float reduction over the hash-ordered domain {o}: {desc}; \
-                             reassociation breaks byte-identical builds — sort the domain, \
-                             use integer/total_cmp reductions, or mark \
-                             `// roadlint: ordered reason=\"…\"`"
-                        ),
-                    });
-                }
-            }
+    fn for_loop(&mut self, head: usize, binders: Vec<String>, start: usize, open: usize) {
+        let toks = self.cx.toks();
+        let close = syntax::match_delim(toks, open);
+        let line = toks[head].line;
+        let (v, elem_is_map) = self.domain(start, open);
+        if elem_is_map {
+            self.map_vars.extend(binders);
+        } else {
+            self.cx.bind(binders, Val::Clean);
         }
+        // Scan the loop body for order-observable events before the
+        // statements inside are walked individually.
+        let emission = self.body_emission(open, close);
+        let floats = self.body_float_events(open, close);
+        if let Some(sink) = emission {
+            self.cx.reach(v.clone(), sink, line, &UNORDERED_ITER);
+        }
+        for (desc, fline) in floats {
+            self.float_event(v.clone(), desc, fline);
+        }
+        if let Val::Bad(o) = &v {
+            // Pushes into locals inside this body inherit the domain's
+            // unorderedness.
+            self.loop_ctx.push((close, o.clone()));
+        }
+    }
+
+    fn assign(&mut self, name: &str, rhs: (usize, usize)) -> bool {
+        let is_map = self.rhs_is_map(rhs.0, rhs.1);
+        if is_map {
+            self.map_vars.insert(name.to_owned());
+        }
+        is_map
+    }
+
+    /// The expression walker: merges order-provenance contributions,
+    /// resolves calls against summaries, and fires sinks.
+    fn eval(&mut self, a: usize, b: usize) -> Val {
+        let toks = self.cx.toks();
+        let mut val = Val::Clean;
+        let mut j = a;
+        while j < b {
+            let t = &toks[j];
+            // An unordered-container iteration source: `map.keys()…`,
+            // `self.objects.values()…`.
+            if let Some((origin, after)) = self.map_iter_at(j, b) {
+                let v = self.chain(Val::Bad(origin), after, b);
+                val = Val::merge(val, v);
+                j = after;
+                continue;
+            }
+            if let Some(site) = callgraph::call_at(toks, j) {
+                let close = syntax::match_delim(toks, site.args_open);
+                if close < b {
+                    let (c, skip) = self.eval_call(&site, close);
+                    val = Val::merge(val, c);
+                    j = if skip { close + 1 } else { site.args_open + 1 };
+                    continue;
+                }
+            }
+            if let Some(name) = t.ident() {
+                let is_field =
+                    j > 0 && toks[j - 1].is_punct('.') && !(j >= 2 && toks[j - 2].is_punct('.'));
+                if !is_field {
+                    if let Some(v) = self.cx.vars.get(name).cloned() {
+                        if let Some((m, margs)) = method_after(toks, j) {
+                            if SORTS.contains(&m) {
+                                // `v.sort_unstable()` fixes the order.
+                                let nv = match v {
+                                    Val::Bad(o) => Val::Fixed(o, format!("{m}()")),
+                                    // A sorted Param domain is
+                                    // deterministic regardless of the
+                                    // caller's ordering.
+                                    Val::Param(_) => Val::Clean,
+                                    other => other,
+                                };
+                                self.cx.vars.insert(name.to_owned(), nv);
+                                let mclose = syntax::match_delim(toks, margs);
+                                j = mclose + 1;
+                                continue;
+                            }
+                            if SEQ_MUTATORS.contains(&m) {
+                                // Inside an unordered loop, `out.push(x)`
+                                // orders `out` by the loop's domain.
+                                if let Some(origin) = self.loop_origin(j) {
+                                    let nv = Val::merge(v.clone(), Val::Bad(origin.clone()));
+                                    self.cx.vars.insert(name.to_owned(), nv);
+                                }
+                                // And pushing an unordered stream into a
+                                // sequence makes the sequence unordered.
+                                let mclose = syntax::match_delim(toks, margs);
+                                if mclose < b {
+                                    let av = self.eval(margs + 1, mclose);
+                                    let cur = self.cx.vars.get(name).cloned().unwrap_or(Val::Clean);
+                                    self.cx.vars.insert(name.to_owned(), Val::merge(cur, av));
+                                    j = mclose + 1;
+                                    continue;
+                                }
+                            }
+                        }
+                        val = Val::merge(val, v);
+                    }
+                }
+            }
+            j += 1;
+        }
+        val
     }
 }
 
 /// Rule 11: scheduling-dependence inside `std::thread::scope` fan-outs.
 /// Results must land in index-addressed slots or be joined in spawn
 /// order — never consumed in thread-completion order.
-fn sched_check(files: &[FileData], cg: &CallGraph, id: FnId, emit: &mut Emit) {
+fn sched_check(fd: &FileData, cg: &CallGraph, id: FnId, emit: &mut Emit) {
     let info = &cg.fns[id];
     let Some((open, close)) = info.body else { return };
-    let fd = &files[info.file_idx];
     let toks = &fd.lexed.tokens;
     let scope_at = (open..close).find(|&k| {
         toks[k].ident() == Some("scope") && toks.get(k + 1).is_some_and(|t| t.is_punct('('))
@@ -1172,7 +812,7 @@ fn sched_check(files: &[FileData], cg: &CallGraph, id: FnId, emit: &mut Emit) {
         let Some(site) = callgraph::call_at(toks, k) else { continue };
         if site.name == "recv" || site.name == "try_recv" {
             if let Some(reason) = fd.markers.ordered_reason_near(site.line) {
-                emit.verdicts.insert(OrderVerdict {
+                emit.verdicts.insert(Verdict {
                     source: format!(
                         "thread::scope fan-out in {} ({}:{})",
                         cg.qualified(id),
@@ -1201,7 +841,7 @@ fn sched_check(files: &[FileData], cg: &CallGraph, id: FnId, emit: &mut Emit) {
         if site.name == "lock" {
             // `….lock()…push(…)` within the same statement: a shared
             // Vec accumulates in completion order.
-            let end = stmt_semi(toks, k);
+            let end = syntax::stmt_semi(toks, k);
             let pushes = (k..end).any(|q| {
                 toks[q].ident() == Some("push") && toks.get(q + 1).is_some_and(|t| t.is_punct('('))
             });
@@ -1233,7 +873,7 @@ fn sched_check(files: &[FileData], cg: &CallGraph, id: FnId, emit: &mut Emit) {
         None
     };
     if let Some(sanitizer) = sanitizer {
-        emit.verdicts.insert(OrderVerdict {
+        emit.verdicts.insert(Verdict {
             source: format!(
                 "thread::scope fan-out in {} ({}:{})",
                 cg.qualified(id),
@@ -1244,19 +884,6 @@ fn sched_check(files: &[FileData], cg: &CallGraph, id: FnId, emit: &mut Emit) {
             sink: format!("deterministic commit order in {}", cg.qualified(id)),
         });
     }
-}
-
-/// `ident . m (` (or `… . m (`) directly after token `j` → `(m, index of
-/// the "(")` — the gap variant also accepts `j` pointing at the last
-/// token of a longer base like `self.field`.
-fn method_after_gap(toks: &[Token], j: usize) -> Option<(&str, usize)> {
-    if toks.get(j + 1).is_some_and(|t| t.is_punct('.')) {
-        let m = toks.get(j + 2)?.ident()?;
-        if toks.get(j + 3).is_some_and(|t| t.is_punct('(')) {
-            return Some((m, j + 3));
-        }
-    }
-    None
 }
 
 /// The uppercase idents of a let-ascription region, in order.
@@ -1272,36 +899,12 @@ fn ascription_chain(toks: &[Token], a: usize, b: usize) -> Vec<String> {
         .collect()
 }
 
-/// Index of the `;` ending the statement starting at `a` (depth-aware).
-fn stmt_semi(toks: &[Token], a: usize) -> usize {
-    let mut depth = 0i64;
-    for (j, t) in toks.iter().enumerate().skip(a) {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-            if depth < 0 {
-                return j;
-            }
-        } else if t.is_punct(';') && depth <= 0 {
-            return j;
-        }
-    }
-    toks.len()
-}
-
-/// True when `t` makes a following `=` a comparison rather than an
-/// assignment.
-fn is_cmp_prefix(t: &Token) -> bool {
-    t.is_punct('=') || t.is_punct('!') || t.is_punct('<') || t.is_punct('>')
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::callgraph::CallGraph;
 
-    fn run(srcs: &[(&str, &str)]) -> (Vec<Finding>, Vec<OrderVerdict>) {
+    fn run(srcs: &[(&str, &str)]) -> (Vec<Finding>, Vec<Verdict>) {
         let files: Vec<FileData> = srcs.iter().map(|(p, s)| FileData::new(p, s)).collect();
         let cg = CallGraph::build(&files);
         check(&files, &cg)

@@ -1,5 +1,5 @@
-//! Shared token-shape helpers: brace matching, function extents and
-//! `#[cfg(test)] mod` exclusion ranges.
+//! Shared token-shape helpers: brace matching, statement ends, method
+//! calls, function extents and `#[cfg(test)] mod` exclusion ranges.
 
 use crate::lexer::Token;
 
@@ -46,6 +46,43 @@ pub fn match_delim_back(tokens: &[Token], close: usize) -> usize {
         }
     }
     0
+}
+
+/// `ident . m (` directly after token `j` → `(m, index of the "(")`; `j`
+/// may also be the last token of a longer base like `self.field`.
+pub fn method_after(toks: &[Token], j: usize) -> Option<(&str, usize)> {
+    if toks.get(j + 1).is_some_and(|t| t.is_punct('.')) {
+        let m = toks.get(j + 2)?.ident()?;
+        if toks.get(j + 3).is_some_and(|t| t.is_punct('(')) {
+            return Some((m, j + 3));
+        }
+    }
+    None
+}
+
+/// True when `t` makes a following `=` a comparison (`==`, `!=`, `<=`,
+/// `>=`) rather than an assignment.
+pub fn is_cmp_prefix(t: &Token) -> bool {
+    t.is_punct('=') || t.is_punct('!') || t.is_punct('<') || t.is_punct('>')
+}
+
+/// Index of the `;` ending the statement starting at `a` (depth-aware),
+/// or of the closer of the enclosing block.
+pub fn stmt_semi(toks: &[Token], a: usize) -> usize {
+    let mut depth = 0i64;
+    for (j, t) in toks.iter().enumerate().skip(a) {
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth -= 1;
+            if depth < 0 {
+                return j;
+            }
+        } else if t.is_punct(';') && depth == 0 {
+            return j;
+        }
+    }
+    toks.len()
 }
 
 /// One function item found in the token stream.
@@ -220,5 +257,47 @@ mod tests {
         assert!(in_ranges(&ranges, unwrap_idx));
         let live_idx = l.tokens.iter().position(|t| t.ident() == Some("live")).expect("live");
         assert!(!in_ranges(&ranges, live_idx));
+    }
+
+    fn pos(toks: &[Token], id: &str) -> usize {
+        toks.iter().position(|t| t.ident() == Some(id)).expect(id)
+    }
+
+    #[test]
+    fn method_after_needs_dot_name_and_paren() {
+        let l = lex("a.len(); self.idx.get(3); b.len; c(1)");
+        let t = &l.tokens;
+        let (m, open) = method_after(t, pos(t, "a")).expect("a.len(");
+        assert_eq!(m, "len");
+        assert!(t[open].is_punct('('));
+        // The last token of a longer base works the same way.
+        assert_eq!(method_after(t, pos(t, "idx")).map(|(m, _)| m), Some("get"));
+        assert_eq!(method_after(t, pos(t, "self")), None, "self.idx is a field, not a call");
+        assert_eq!(method_after(t, pos(t, "b")), None, "no call parens");
+        assert_eq!(method_after(t, pos(t, "c")), None, "plain call, no receiver");
+        assert_eq!(method_after(t, t.len() - 1), None, "end of stream");
+    }
+
+    #[test]
+    fn cmp_prefixes_are_the_comparison_heads() {
+        let l = lex("= ! < > + : -");
+        let got: Vec<bool> = l.tokens.iter().map(is_cmp_prefix).collect();
+        assert_eq!(got, [true, true, true, true, false, false, false]);
+    }
+
+    #[test]
+    fn stmt_semi_is_depth_aware() {
+        let l = lex("{ let x = { a; f(b, [c; 2]) }; y; tail }");
+        let t = &l.tokens;
+        let semi = stmt_semi(t, pos(t, "let"));
+        assert!(t[semi].is_punct(';'));
+        assert_eq!(semi, pos(t, "y") - 1, "inner `;`s are skipped");
+        // A statement without `;` ends at the closer of its block.
+        let close = stmt_semi(t, pos(t, "tail"));
+        assert_eq!(close, t.len() - 1);
+        assert!(t[close].is_punct('}'));
+        // Unterminated: the end of the stream.
+        let l = lex("a + b");
+        assert_eq!(stmt_semi(&l.tokens, 0), l.tokens.len());
     }
 }

@@ -134,6 +134,16 @@ fn taint_sanitizers_suppress_and_appear_in_the_verdict_table() {
     assert!(sanitizers.contains("marker:"), "{sanitizers}");
 }
 
+/// A generic-ascribed `let` (`let n: Option<usize> = …`) keeps its
+/// initializer's taint: the generic's closing `>` is not a `>=`.
+#[test]
+fn taint_follows_a_generic_ascribed_let() {
+    let a = analyze_fixture("taint_ascribed_let.rs");
+    let taint: Vec<_> = a.findings.iter().filter(|f| f.rule == "taint").collect();
+    assert_eq!(taint.len(), 1, "{:?}", a.findings);
+    assert!(taint[0].message.contains("with_capacity()"), "{:?}", taint[0]);
+}
+
 #[test]
 fn cross_file_taint_needs_the_workspace_call_graph() {
     // Each file alone is what v1's file-local decode-bound rule saw:

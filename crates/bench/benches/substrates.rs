@@ -10,7 +10,7 @@ use road_network::generator::Dataset;
 use road_network::graph::WeightKind;
 use road_network::NodeId;
 use road_spatial::RTree;
-use road_storage::{BPlusTree, BufferPool, LruCache, PageStore};
+use road_storage::{BPlusTree, IoTally, LruCache, PageStore, StripedBufferPool, TalliedPool};
 use std::hint::black_box;
 
 fn bench_dijkstra(c: &mut Criterion) {
@@ -28,7 +28,8 @@ fn bench_dijkstra(c: &mut Criterion) {
 }
 
 fn bench_bptree(c: &mut Criterion) {
-    let mut pool = BufferPool::new(PageStore::new(), 256);
+    let (pool, mut tally) = (StripedBufferPool::new(PageStore::new(), 256, 1), IoTally::default());
+    let mut pool = TalliedPool { pool: &pool, tally: &mut tally };
     let mut tree = BPlusTree::new(&mut pool).unwrap();
     for k in 0..100_000u64 {
         tree.insert(&mut pool, k * 7 % 100_000, k).unwrap();

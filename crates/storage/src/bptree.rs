@@ -7,7 +7,7 @@
 //! `u64` record pointers (page id + offset, or an inline small payload).
 //!
 //! Every node occupies one 4 KB page and is read and written through a
-//! [`PagePool`] — the single-threaded [`crate::BufferPool`] or a per-query
+//! [`PagePool`] — in practice a per-query
 //! [`crate::striped::TalliedPool`] view of the concurrent striped pool —
 //! so tree operations produce realistic page-fault patterns. Branching
 //! factors are configurable (tests use tiny fanouts to force deep trees);
@@ -611,18 +611,20 @@ impl BPlusTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::BufferPool;
     use crate::store::PageStore;
+    use crate::striped::{IoTally, StripedBufferPool, TalliedPool};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
-    fn pool() -> BufferPool {
-        BufferPool::new(PageStore::new(), 64)
+    /// A one-stripe pool; tests reach it through a `TalliedPool` view.
+    fn striped(capacity: usize) -> StripedBufferPool {
+        StripedBufferPool::new(PageStore::new(), capacity, 1)
     }
 
     #[test]
     fn empty_tree() {
-        let mut p = pool();
+        let (sp, mut tally) = (striped(64), IoTally::default());
+        let mut p = TalliedPool { pool: &sp, tally: &mut tally };
         let t = BPlusTree::new(&mut p).unwrap();
         assert!(t.is_empty());
         assert_eq!(t.get(&mut p, 7).unwrap(), None);
@@ -632,7 +634,8 @@ mod tests {
 
     #[test]
     fn insert_get_update() {
-        let mut p = pool();
+        let (sp, mut tally) = (striped(64), IoTally::default());
+        let mut p = TalliedPool { pool: &sp, tally: &mut tally };
         let mut t = BPlusTree::new(&mut p).unwrap();
         assert_eq!(t.insert(&mut p, 5, 50).unwrap(), None);
         assert_eq!(t.insert(&mut p, 3, 30).unwrap(), None);
@@ -647,7 +650,8 @@ mod tests {
 
     #[test]
     fn splits_build_height_with_tiny_fanout() {
-        let mut p = pool();
+        let (sp, mut tally) = (striped(64), IoTally::default());
+        let mut p = TalliedPool { pool: &sp, tally: &mut tally };
         let mut t = BPlusTree::with_caps(&mut p, 4, 4).unwrap();
         for k in 0..200u64 {
             t.insert(&mut p, k, k * 10).unwrap();
@@ -663,13 +667,15 @@ mod tests {
 
     #[test]
     fn reverse_and_shuffled_insertions() {
-        let mut p = pool();
+        let (sp, mut tally) = (striped(64), IoTally::default());
+        let mut p = TalliedPool { pool: &sp, tally: &mut tally };
         let mut t = BPlusTree::with_caps(&mut p, 4, 4).unwrap();
         for k in (0..100u64).rev() {
             t.insert(&mut p, k, k).unwrap();
         }
         assert_eq!(t.entries(&mut p).unwrap().len(), 100);
-        let mut p2 = pool();
+        let (sp2, mut tally2) = (striped(64), IoTally::default());
+        let mut p2 = TalliedPool { pool: &sp2, tally: &mut tally2 };
         let mut t2 = BPlusTree::with_caps(&mut p2, 4, 4).unwrap();
         let mut keys: Vec<u64> = (0..100).collect();
         use rand::seq::SliceRandom;
@@ -682,7 +688,8 @@ mod tests {
 
     #[test]
     fn range_queries() {
-        let mut p = pool();
+        let (sp, mut tally) = (striped(64), IoTally::default());
+        let mut p = TalliedPool { pool: &sp, tally: &mut tally };
         let mut t = BPlusTree::with_caps(&mut p, 4, 4).unwrap();
         for k in (0..100u64).step_by(2) {
             t.insert(&mut p, k, k + 1).unwrap();
@@ -698,7 +705,8 @@ mod tests {
 
     #[test]
     fn remove_with_rebalancing() {
-        let mut p = pool();
+        let (sp, mut tally) = (striped(64), IoTally::default());
+        let mut p = TalliedPool { pool: &sp, tally: &mut tally };
         let mut t = BPlusTree::with_caps(&mut p, 4, 4).unwrap();
         for k in 0..300u64 {
             t.insert(&mut p, k, k).unwrap();
@@ -724,7 +732,8 @@ mod tests {
     #[test]
     fn model_test_against_btreemap() {
         let mut rng = StdRng::seed_from_u64(1234);
-        let mut p = pool();
+        let (sp, mut tally) = (striped(64), IoTally::default());
+        let mut p = TalliedPool { pool: &sp, tally: &mut tally };
         let mut t = BPlusTree::with_caps(&mut p, 4, 5).unwrap();
         let mut model = std::collections::BTreeMap::new();
         for _ in 0..4000 {
@@ -749,21 +758,23 @@ mod tests {
 
     #[test]
     fn tree_survives_cold_cache() {
-        let mut p = BufferPool::new(PageStore::new(), 8); // tiny pool
+        let (sp, mut tally) = (striped(8), IoTally::default()); // tiny pool
+        let mut p = TalliedPool { pool: &sp, tally: &mut tally };
         let mut t = BPlusTree::with_caps(&mut p, 4, 4).unwrap();
         for k in 0..500u64 {
             t.insert(&mut p, k, !k).unwrap();
         }
-        p.clear_cache();
+        sp.clear_cache().unwrap();
         for k in (0..500u64).step_by(17) {
             assert_eq!(t.get(&mut p, k).unwrap(), Some(!k));
         }
-        assert!(p.stats().page_faults > 0);
+        assert!(sp.stats().page_faults > 0);
     }
 
     #[test]
     fn page_accounting_tracks_live_pages() {
-        let mut p = pool();
+        let (sp, mut tally) = (striped(64), IoTally::default());
+        let mut p = TalliedPool { pool: &sp, tally: &mut tally };
         let mut t = BPlusTree::with_caps(&mut p, 4, 4).unwrap();
         for k in 0..64u64 {
             t.insert(&mut p, k, k).unwrap();
@@ -786,7 +797,8 @@ mod tests {
     /// out-of-range read.
     #[test]
     fn corrupt_counts_surface_as_errors() {
-        let mut p = pool();
+        let (sp, mut tally) = (striped(64), IoTally::default());
+        let mut p = TalliedPool { pool: &sp, tally: &mut tally };
         let t = BPlusTree::with_caps(&mut p, 4, 4).unwrap();
         // Overwrite the root leaf's count with an impossible value.
         let root = t.root;

@@ -15,12 +15,12 @@
 //! * [`store`] — the simulated disk (a growable array of pages with
 //!   physical read/write counters);
 //! * [`lru`] — a generic O(1) LRU cache;
-//! * [`buffer`] — the buffer pool: LRU page frames with dirty write-back,
-//!   plus the [`PagePool`] access trait;
-//! * [`striped`] — the concurrent buffer pool: the LRU sharded into lock
-//!   stripes keyed by page id, with atomic global counters and exact
-//!   per-query [`IoTally`] deltas (what lets one disk-resident engine
-//!   serve many threads);
+//! * [`buffer`] — the [`BufferStats`] counters and the [`PagePool`]
+//!   access trait;
+//! * [`striped`] — the buffer pool: LRU page frames with dirty
+//!   write-back, sharded into lock stripes keyed by page id, with atomic
+//!   global counters and exact per-query [`IoTally`] deltas (what lets
+//!   one disk-resident engine serve many threads);
 //! * [`bptree`] — a real paged B+-tree (the paper's Route Overlay and
 //!   Association Directory both index by node/Rnet id through B+-trees);
 //! * [`ccam`] — connectivity-clustered node-to-page assignment after
@@ -40,7 +40,7 @@ pub mod store;
 pub mod striped;
 
 pub use bptree::BPlusTree;
-pub use buffer::{BufferPool, BufferStats, PagePool};
+pub use buffer::{BufferStats, PagePool};
 pub use ccam::{NodeClustering, RecordLocation};
 pub use error::StorageError;
 pub use lru::LruCache;

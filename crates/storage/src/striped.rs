@@ -1,8 +1,8 @@
 //! The concurrent buffer pool: an LRU sharded into lock stripes.
 //!
-//! The single-threaded [`BufferPool`](crate::BufferPool) moves its LRU
-//! list on every read, so sharing it between serving threads would mean a
-//! global mutex — one cache-warm query serializing every other. This pool
+//! An LRU moves its list on every read, so sharing one between serving
+//! threads would mean a global mutex — one cache-warm query serializing
+//! every other. This pool
 //! shards the frame cache into `N` **stripes** keyed by page id
 //! (`page % N`), each an independent LRU behind its own mutex: threads
 //! touching different stripes never contend, and the paper's cost model is
@@ -390,6 +390,68 @@ mod tests {
         assert_eq!(tally.page_faults, 12);
         let st = p.stats();
         assert_eq!((st.logical_reads, st.page_faults), (24, 12));
+    }
+
+    /// A freshly allocated page is cached: reading it never faults.
+    #[test]
+    fn cached_reads_do_not_fault() {
+        let p = pool(4, 1);
+        let a = p.alloc().unwrap();
+        p.reset_stats();
+        let mut tally = IoTally::default();
+        for _ in 0..10 {
+            p.with_page(a, &mut tally, |pg| assert_eq!(pg.bytes()[0], 0)).unwrap();
+        }
+        assert_eq!(tally, IoTally { logical_reads: 10, page_faults: 0 });
+        assert_eq!(p.stats().page_faults, 0);
+    }
+
+    #[test]
+    fn eviction_writes_back_dirty_pages() {
+        let p = pool(2, 1);
+        let mut tally = IoTally::default();
+        let a = p.alloc().unwrap();
+        p.with_page_mut(a, &mut tally, |pg| pg.bytes_mut()[0] = 42).unwrap();
+        // Fill the pool until `a` is evicted.
+        p.alloc().unwrap();
+        p.alloc().unwrap();
+        assert!(p.stats().write_backs >= 1);
+        // Fault `a` back in: the write-back preserved the data.
+        p.with_page(a, &mut tally, |pg| assert_eq!(pg.bytes()[0], 42)).unwrap();
+        assert!(p.stats().page_faults >= 1);
+    }
+
+    #[test]
+    fn flush_persists_without_dropping_frames() {
+        let p = pool(4, 1);
+        let mut tally = IoTally::default();
+        let a = p.alloc().unwrap();
+        p.with_page_mut(a, &mut tally, |pg| pg.bytes_mut()[1] = 9).unwrap();
+        p.flush().unwrap();
+        p.reset_stats();
+        p.with_page(a, &mut tally, |pg| assert_eq!(pg.bytes()[1], 9)).unwrap();
+        assert_eq!(p.stats().page_faults, 0, "flush must not evict");
+    }
+
+    #[test]
+    fn clear_cache_then_cold_reads_fault() {
+        let p = pool(8, 1);
+        let mut tally = IoTally::default();
+        let ids: Vec<PageId> = (0..4).map(|_| p.alloc().unwrap()).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            p.with_page_mut(id, &mut tally, |pg| pg.bytes_mut()[0] = i as u8).unwrap();
+        }
+        p.clear_cache().unwrap();
+        p.reset_stats();
+        for (i, &id) in ids.iter().enumerate() {
+            p.with_page(id, &mut tally, |pg| assert_eq!(pg.bytes()[0], i as u8)).unwrap();
+        }
+        assert_eq!(p.stats().page_faults, 4);
+        // Second round is warm.
+        for &id in &ids {
+            p.with_page(id, &mut tally, |_| ()).unwrap();
+        }
+        assert_eq!(p.stats().page_faults, 4);
     }
 
     /// Regression (stats drift): `clear_cache` flushes dirty frames as

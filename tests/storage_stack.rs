@@ -6,32 +6,40 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use road_network::generator::simple;
-use road_spatial::{CountingBloom, Signature};
+use road_spatial::CountingBloom;
 use road_storage::ccam::NodeClustering;
 use road_storage::lru::LruCache;
 use road_storage::pagemap::{IoTracker, PageMap};
-use road_storage::{BPlusTree, BufferPool, PageStore, DEFAULT_BUFFER_PAGES, PAGE_SIZE};
+use road_storage::{
+    BPlusTree, IoTally, PageStore, StripedBufferPool, TalliedPool, DEFAULT_BUFFER_PAGES, PAGE_SIZE,
+};
+
+/// A one-stripe buffer pool over a fresh store.
+fn striped(capacity: usize) -> StripedBufferPool {
+    StripedBufferPool::new(PageStore::new(), capacity, 1)
+}
 
 #[test]
 fn bptree_as_association_directory_index() {
     // Model the paper's Association Directory: node id -> object-record
     // pointer for 10k nodes, under a 50-page buffer.
-    let mut pool = BufferPool::new(PageStore::new(), DEFAULT_BUFFER_PAGES);
-    let mut tree = BPlusTree::new(&mut pool).unwrap();
+    let (pool, mut tally) = (striped(DEFAULT_BUFFER_PAGES), IoTally::default());
+    let mut p = TalliedPool { pool: &pool, tally: &mut tally };
+    let mut tree = BPlusTree::new(&mut p).unwrap();
     let mut pages = PageMap::new();
     for node in (0..10_000u64).step_by(7) {
         let (pg, _) = pages.insert(node, 32);
-        tree.insert(&mut pool, node, pg as u64).unwrap();
+        tree.insert(&mut p, node, pg as u64).unwrap();
     }
-    pool.clear_cache();
+    pool.clear_cache().unwrap();
     pool.reset_stats();
     // A cold lookup path costs height+1 page faults at most.
-    let v = tree.get(&mut pool, 7 * 100).unwrap();
+    let v = tree.get(&mut p, 7 * 100).unwrap();
     assert!(v.is_some());
     let faults = pool.stats().page_faults;
     assert!(faults as u32 <= tree.height() + 1, "lookup cost {faults} pages");
     // Missing keys are cheap too and prove absence.
-    assert_eq!(tree.get(&mut pool, 3).unwrap(), None);
+    assert_eq!(tree.get(&mut p, 3).unwrap(), None);
 }
 
 #[test]
@@ -81,19 +89,19 @@ fn ccam_beats_random_placement_for_expansion_io() {
 
 #[test]
 fn buffer_pool_bounds_resident_pages() {
-    let mut pool = BufferPool::new(PageStore::new(), 10);
-    let ids: Vec<_> = (0..100).map(|_| pool.alloc()).collect();
+    let (pool, mut tally) = (striped(10), IoTally::default());
+    let ids: Vec<_> = (0..100).map(|_| pool.alloc().unwrap()).collect();
     for (i, &id) in ids.iter().enumerate() {
-        pool.with_page_mut(id, |p| p.bytes_mut()[0] = i as u8).unwrap();
+        pool.with_page_mut(id, &mut tally, |p| p.bytes_mut()[0] = i as u8).unwrap();
     }
     // Everything is still readable (write-back worked) …
     for (i, &id) in ids.iter().enumerate() {
-        pool.with_page(id, |p| assert_eq!(p.bytes()[0], i as u8)).unwrap();
+        pool.with_page(id, &mut tally, |p| assert_eq!(p.bytes()[0], i as u8)).unwrap();
     }
     // … and the store carries the truth after a flush.
-    pool.clear_cache();
+    pool.clear_cache().unwrap();
     for (i, &id) in ids.iter().enumerate() {
-        pool.with_page(id, |p| assert_eq!(p.bytes()[0], i as u8)).unwrap();
+        pool.with_page(id, &mut tally, |p| assert_eq!(p.bytes()[0], i as u8)).unwrap();
     }
 }
 
@@ -129,21 +137,21 @@ fn lru_eviction_order_under_repin() {
 /// mid-stream keeps it resident across evictions that claim its cohort.
 #[test]
 fn buffer_pool_repin_protects_hot_page() {
-    let mut pool = BufferPool::new(PageStore::new(), 3);
-    let pages: Vec<_> = (0..6).map(|_| pool.alloc()).collect();
-    pool.clear_cache();
+    let (pool, mut tally) = (striped(3), IoTally::default());
+    let pages: Vec<_> = (0..6).map(|_| pool.alloc().unwrap()).collect();
+    pool.clear_cache().unwrap();
     pool.reset_stats();
     // Fault in 0, 1, 2; re-pin 0; then stream 3 and 4 (evicting 1 and 2).
     for &p in &pages[..3] {
-        pool.with_page(p, |_| ()).unwrap();
+        pool.with_page(p, &mut tally, |_| ()).unwrap();
     }
-    pool.with_page(pages[0], |_| ()).unwrap();
-    pool.with_page(pages[3], |_| ()).unwrap();
-    pool.with_page(pages[4], |_| ()).unwrap();
+    pool.with_page(pages[0], &mut tally, |_| ()).unwrap();
+    pool.with_page(pages[3], &mut tally, |_| ()).unwrap();
+    pool.with_page(pages[4], &mut tally, |_| ()).unwrap();
     let faults_before = pool.stats().page_faults;
-    pool.with_page(pages[0], |_| ()).unwrap(); // still resident: no fault
+    pool.with_page(pages[0], &mut tally, |_| ()).unwrap(); // still resident: no fault
     assert_eq!(pool.stats().page_faults, faults_before, "re-pinned page was evicted");
-    pool.with_page(pages[1], |_| ()).unwrap(); // evicted: faults
+    pool.with_page(pages[1], &mut tally, |_| ()).unwrap(); // evicted: faults
     assert_eq!(pool.stats().page_faults, faults_before + 1);
 }
 
@@ -153,33 +161,34 @@ fn buffer_pool_repin_protects_hot_page() {
 #[test]
 fn bptree_split_merge_at_boundary_fanouts() {
     for (leaf_cap, int_cap) in [(3usize, 3usize), (3, 4), (4, 3), (4, 4), (5, 3)] {
-        let mut pool = BufferPool::new(PageStore::new(), 8);
-        let mut tree = BPlusTree::with_caps(&mut pool, leaf_cap, int_cap).unwrap();
+        let (pool, mut tally) = (striped(8), IoTally::default());
+        let mut p = TalliedPool { pool: &pool, tally: &mut tally };
+        let mut tree = BPlusTree::with_caps(&mut p, leaf_cap, int_cap).unwrap();
         let mut model = std::collections::BTreeMap::new();
         // Ascending fill to one past every split boundary.
         let n = (leaf_cap * int_cap * int_cap + 1) as u64;
         for k in 0..n {
             assert_eq!(
-                tree.insert(&mut pool, k, !k).unwrap(),
+                tree.insert(&mut p, k, !k).unwrap(),
                 model.insert(k, !k),
                 "caps {leaf_cap}/{int_cap}"
             );
         }
         assert!(tree.height() >= 2, "caps {leaf_cap}/{int_cap} never built height");
         assert_eq!(
-            tree.entries(&mut pool).unwrap(),
+            tree.entries(&mut p).unwrap(),
             model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
         );
         // Descending removal drains through every merge/borrow path.
         for k in (0..n).rev() {
             assert_eq!(
-                tree.remove(&mut pool, k).unwrap(),
+                tree.remove(&mut p, k).unwrap(),
                 model.remove(&k),
                 "caps {leaf_cap}/{int_cap}"
             );
             if k % 7 == 0 {
                 // Interleaved probes keep lookups honest mid-rebalance.
-                assert_eq!(tree.get(&mut pool, k / 2).unwrap(), model.get(&(k / 2)).copied());
+                assert_eq!(tree.get(&mut p, k / 2).unwrap(), model.get(&(k / 2)).copied());
             }
         }
         assert!(tree.is_empty());
@@ -192,18 +201,19 @@ fn bptree_split_merge_at_boundary_fanouts() {
 /// the pattern that historically breaks borrow-direction bookkeeping.
 #[test]
 fn bptree_zigzag_at_split_boundary() {
-    let mut pool = BufferPool::new(PageStore::new(), 8);
-    let mut tree = BPlusTree::with_caps(&mut pool, 3, 3).unwrap();
+    let (pool, mut tally) = (striped(8), IoTally::default());
+    let mut p = TalliedPool { pool: &pool, tally: &mut tally };
+    let mut tree = BPlusTree::with_caps(&mut p, 3, 3).unwrap();
     for round in 0..40u64 {
         let base = round * 100;
         for k in 0..9 {
-            tree.insert(&mut pool, base + k, k).unwrap();
+            tree.insert(&mut p, base + k, k).unwrap();
         }
         // Remove from alternating ends to force left- and right-sibling
         // merges in the same subtree.
         for (i, k) in (0..9).enumerate() {
             let key = if i % 2 == 0 { base + k } else { base + 8 - k };
-            tree.remove(&mut pool, key).unwrap();
+            tree.remove(&mut p, key).unwrap();
         }
     }
     assert!(tree.is_empty());
@@ -240,65 +250,32 @@ fn bloom_false_positive_rate_within_bound() {
     assert!((0..200u64).all(|t| !bloom.may_contain(5_000_000 + t)));
 }
 
-/// Superimposed-coding signatures obey the same bound (they are a Bloom
-/// filter without deletion), and union must never lose members.
-#[test]
-fn signature_false_positive_rate_and_union() {
-    let (width, bits, items) = (1024usize, 4u32, 150usize);
-    let mut sig = Signature::new(width, bits);
-    for v in 0..items as u64 {
-        sig.insert(v);
-    }
-    for v in 0..items as u64 {
-        assert!(sig.may_contain(v), "false negative for {v}");
-    }
-    let trials = 20_000u64;
-    let fps = (0..trials).filter(|t| sig.may_contain(1_000_000 + t)).count();
-    let rate = fps as f64 / trials as f64;
-    let k = bits as f64;
-    let bound = (1.0 - (-k * items as f64 / width as f64).exp()).powf(k);
-    assert!(
-        rate <= bound * 2.0 + 0.005,
-        "signature FP rate {rate:.4} exceeds 2x theoretical bound {bound:.4}"
-    );
-    // Union covers both operand sets (Lemma 1's superimposition).
-    let mut a = Signature::new(width, bits);
-    let mut b = Signature::new(width, bits);
-    for v in 0..40u64 {
-        a.insert(v);
-        b.insert(1000 + v);
-    }
-    let mut u = a.clone();
-    u.union_with(&b);
-    assert!((0..40u64).all(|v| u.may_contain(v) && u.may_contain(1000 + v)));
-    assert!(u.covers(&a) && u.covers(&b));
-}
-
 /// Stress pass (CI `--include-ignored`): a large randomized B+-tree soak
 /// under a tiny buffer, checked against a model at every step batch.
 #[test]
 #[ignore = "stress: 100k-op B+-tree soak, run via --include-ignored"]
 fn stress_bptree_soak_under_tiny_buffer() {
     let mut rng = StdRng::seed_from_u64(2024);
-    let mut pool = BufferPool::new(PageStore::new(), 4);
-    let mut tree = BPlusTree::with_caps(&mut pool, 4, 4).unwrap();
+    let (pool, mut tally) = (striped(4), IoTally::default());
+    let mut p = TalliedPool { pool: &pool, tally: &mut tally };
+    let mut tree = BPlusTree::with_caps(&mut p, 4, 4).unwrap();
     let mut model = std::collections::BTreeMap::new();
     for step in 0..100_000u64 {
         let key = rng.random_range(0..4_000u64);
         match rng.random_range(0..5) {
             0..=2 => {
-                assert_eq!(tree.insert(&mut pool, key, step).unwrap(), model.insert(key, step));
+                assert_eq!(tree.insert(&mut p, key, step).unwrap(), model.insert(key, step));
             }
             3 => {
-                assert_eq!(tree.remove(&mut pool, key).unwrap(), model.remove(&key));
+                assert_eq!(tree.remove(&mut p, key).unwrap(), model.remove(&key));
             }
             _ => {
-                assert_eq!(tree.get(&mut pool, key).unwrap(), model.get(&key).copied());
+                assert_eq!(tree.get(&mut p, key).unwrap(), model.get(&key).copied());
             }
         }
         if step % 20_000 == 0 {
             assert_eq!(
-                tree.entries(&mut pool).unwrap(),
+                tree.entries(&mut p).unwrap(),
                 model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
             );
         }
@@ -313,17 +290,18 @@ proptest! {
     /// and tiny buffers (heavy eviction).
     #[test]
     fn bptree_model_under_tiny_buffer(ops in prop::collection::vec((0u8..3, 0u64..200), 1..120)) {
-        let mut pool = BufferPool::new(PageStore::new(), 4);
-        let mut tree = BPlusTree::with_caps(&mut pool, 4, 4).unwrap();
+        let (pool, mut tally) = (striped(4), IoTally::default());
+        let mut p = TalliedPool { pool: &pool, tally: &mut tally };
+        let mut tree = BPlusTree::with_caps(&mut p, 4, 4).unwrap();
         let mut model = std::collections::BTreeMap::new();
         for (op, key) in ops {
             match op {
-                0 => { prop_assert_eq!(tree.insert(&mut pool, key, key + 1).unwrap(), model.insert(key, key + 1)); }
-                1 => { prop_assert_eq!(tree.remove(&mut pool, key).unwrap(), model.remove(&key)); }
-                _ => { prop_assert_eq!(tree.get(&mut pool, key).unwrap(), model.get(&key).copied()); }
+                0 => { prop_assert_eq!(tree.insert(&mut p, key, key + 1).unwrap(), model.insert(key, key + 1)); }
+                1 => { prop_assert_eq!(tree.remove(&mut p, key).unwrap(), model.remove(&key)); }
+                _ => { prop_assert_eq!(tree.get(&mut p, key).unwrap(), model.get(&key).copied()); }
             }
         }
-        let got = tree.entries(&mut pool).unwrap();
+        let got = tree.entries(&mut p).unwrap();
         let want: Vec<(u64, u64)> = model.into_iter().collect();
         prop_assert_eq!(got, want);
     }
